@@ -129,9 +129,12 @@ dca:
 simd:
 	$(GO) test -race -count=1 ./internal/simd ./cmd/omxsimd
 
-# The event-core allocation gate: the calendar-queue benchmark must
-# report exactly 0 allocs/op in steady state, or the zero-allocation
-# claim (and with it the 512-rank CI budget) has regressed.
+# The allocation gates. The calendar-queue benchmark must report
+# exactly 0 allocs/op in steady state, or the zero-allocation claim
+# (and with it the 512-rank CI budget) has regressed. Opening an
+# endpoint on either stack must allocate at most 64 KiB: the modelled
+# 2 MiB receive ring is backed slot by slot on first use, not zeroed
+# up front.
 benchalloc:
 	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkEventCoreCalendar' -benchmem ./sim); \
 	echo "$$out"; \
@@ -141,6 +144,16 @@ benchalloc:
 		echo "benchalloc: event core steady state allocates $$allocs allocs/op, want 0" >&2; \
 		exit 1; \
 	fi
+	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkEndpointOpen$$' -benchtime 1000x -benchmem \
+		./internal/core ./internal/mxoe); \
+	echo "$$out"; \
+	echo "$$out" | awk -v max=65536 ' \
+		/^pkg:/ { pkg = $$2 } \
+		/^BenchmarkEndpointOpen/ { for (i = 2; i <= NF; i++) if ($$i == "B/op") { \
+			runs++; if ($$(i-1) + 0 > max) bad = bad " " pkg "=" $$(i-1) } } \
+		END { \
+			if (runs != 2) { print "benchalloc: endpoint-open benchmarks reported " runs + 0 " results, want 2" > "/dev/stderr"; exit 1 } \
+			if (bad != "") { print "benchalloc: endpoint open allocates B/op:" bad ", want <= " max > "/dev/stderr"; exit 1 } }'
 
 # Run every committed godoc example (they are living documentation
 # with verified Output comments).

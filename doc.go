@@ -34,7 +34,9 @@
 //     one event). hostmem keeps the per-buffer memory-hierarchy
 //     ledgers — span coverage per L2 domain and L1, the DMA-cold and
 //     DCA-resident states, the NUMA home socket, and the per-stack
-//     LRU registration cache — which memmodel.RateFor prices into
+//     LRU registration cache — all over a buffer's logical size, plus
+//     the endpoint receive ring both stacks share (hostmem.Ring,
+//     backed slot by slot on first use) — which memmodel.RateFor prices into
 //     copy rates (DCA blend, wrong-socket and snoop penalties,
 //     cross-socket, L1/L2/half-warm); nic and ioat charge
 //     NUMA-distance deposit costs and mark every deposit

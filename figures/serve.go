@@ -24,7 +24,8 @@ func MaxPPN() int { return len(rankCores) }
 // the stack with ppn ranks per host (block placement on the standard
 // rank cores), and runs one IMB test over the message sizes. The
 // built cluster is returned alongside the results so callers can
-// snapshot NetStats (and per-host CPU ledgers) after the run. iters
+// snapshot NetStats (and per-host CPU ledgers) after the run; they
+// must Close it once done, or its hosts' goroutines live on. iters
 // overrides the per-size iteration schedule (nil = imb.DefaultIters).
 //
 // Two SweepOn calls with equal arguments are bit-identical — the
@@ -46,6 +47,7 @@ func SweepOn(top cluster.Topology, s Stack, ppn int, test string, sizes []int, i
 	}
 	w, err := worldOverE(c, s, ppn)
 	if err != nil {
+		c.Close()
 		return nil, nil, err
 	}
 	r := &imb.Runner{C: c, W: w, Iters: iters}

@@ -20,8 +20,7 @@ type Endpoint struct {
 
 	// Receive ring: statically pinned kernel pages the bottom half
 	// copies eager payloads into, one 4 kiB slot per fragment.
-	ring      *hostmem.Buffer
-	freeSlots []int
+	ring *hostmem.Ring
 
 	// Event queue from driver to library.
 	evq   []*event
@@ -174,13 +173,10 @@ func (s *Stack) OpenEndpoint(id, coreID int) *Endpoint {
 		S:       s,
 		ID:      id,
 		Core:    coreID,
-		ring:    s.H.Alloc(s.Cfg.RingSlots * proto.MediumFragSize),
+		ring:    s.H.Mem.AllocRing(s.Cfg.RingSlots, proto.MediumFragSize),
 		evSig:   sim.NewSignal(),
 		txChans: make(map[proto.Addr]*txChan),
 		rxChans: make(map[proto.Addr]*rxChan),
-	}
-	for i := s.Cfg.RingSlots - 1; i >= 0; i-- {
-		ep.freeSlots = append(ep.freeSlots, i)
 	}
 	s.endpoints[id] = ep
 	return ep
@@ -190,21 +186,6 @@ func (s *Stack) OpenEndpoint(id, coreID int) *Endpoint {
 func (ep *Endpoint) Addr() proto.Addr { return ep.S.addr(ep.ID) }
 
 func (ep *Endpoint) core() *cpu.Core { return ep.S.H.Sys.Core(ep.Core) }
-
-// allocSlot takes a receive-ring slot, or -1 when the ring is full
-// (the frame is dropped and retransmission recovers).
-func (ep *Endpoint) allocSlot() int {
-	if len(ep.freeSlots) == 0 {
-		return -1
-	}
-	s := ep.freeSlots[len(ep.freeSlots)-1]
-	ep.freeSlots = ep.freeSlots[:len(ep.freeSlots)-1]
-	return s
-}
-
-func (ep *Endpoint) freeSlot(i int) { ep.freeSlots = append(ep.freeSlots, i) }
-
-func (ep *Endpoint) slotOff(i int) int { return i * proto.MediumFragSize }
 
 func (ep *Endpoint) txChan(dst proto.Addr) *txChan {
 	c := ep.txChans[dst]
@@ -507,7 +488,7 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 			d = ep.S.H.Copy.RawTime(n, ep.S.H.P.MemcpyL2Rate)
 			dstBuf.Touch(ep.Core, n)
 		} else {
-			d = ep.S.H.Copy.Memcpy(dstBuf, dstOff, ep.ring, ep.slotOff(ev.slot), n, ep.Core)
+			d = ep.S.H.Copy.Memcpy(dstBuf, dstOff, ep.ring.Buf, ep.ring.Off(ev.slot), n, ep.Core)
 		}
 		ep.core().RunOn(p, cpu.UserLib, d)
 	}
@@ -527,7 +508,7 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 
 func (ep *Endpoint) releaseSlot(ev *event) {
 	if ev.slot >= 0 {
-		ep.freeSlot(ev.slot)
+		ep.ring.Put(ev.slot)
 	}
 }
 

@@ -147,17 +147,17 @@ func (s *Stack) rxEager(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.Eage
 			}
 		}
 	default:
-		slot := ep.allocSlot()
+		slot := ep.ring.Take()
 		if slot < 0 {
 			s.Stats.RingDrops++
 			return // dropped (and not recorded); retransmission recovers
 		}
 		ch.markFrag(m.Seq, m.FragID)
 		ev.slot = slot
-		off := ep.slotOff(slot)
+		off := ep.ring.Off(slot)
 		switch {
 		case s.Cfg.SkipBHCopy:
-			copy(ep.ring.Data[off:off+n], skb.Buf.Data)
+			copy(ep.ring.Buf.Data[off:off+n], skb.Buf.Data)
 		case s.Cfg.IOATSyncMedium && n >= s.Cfg.IOATMinFrag:
 			// Synchronous offload: submit, then busy-poll completion.
 			// All fragment copies of small/medium messages must be
@@ -165,7 +165,7 @@ func (s *Stack) rxEager(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.Eage
 			// (Section III-C).
 			s.ioatSyncCopy(p, core, cpu.BHCopy, ep, slot, skb, n)
 		default:
-			d := s.H.Copy.Memcpy(ep.ring, off, skb.Buf, 0, n, core.ID)
+			d := s.H.Copy.Memcpy(ep.ring.Buf, off, skb.Buf, 0, n, core.ID)
 			core.RunOn(p, cpu.BHCopy, d)
 		}
 	}
@@ -183,13 +183,13 @@ func bhTinyRate(s *Stack) platform.Rate {
 // fragment into a receive-ring slot: submission cost, then the CPU
 // busy-polls until the engine retires the descriptors.
 func (s *Stack) ioatSyncCopy(p *sim.Proc, core *cpu.Core, cat cpu.Category, ep *Endpoint, slot int, skb *nic.Skb, n int) {
-	off := ep.slotOff(slot)
+	off := ep.ring.Off(slot)
 	chunks := pageChunks(off, n, s.H.P.PageSize)
 	ch := s.H.IOAT.PickChannel()
 	var reqs []ioat.CopyReq
 	so := 0
 	for _, c := range chunks {
-		reqs = append(reqs, ioat.CopyReq{Dst: ep.ring, DstOff: off + so, Src: skb.Buf, SrcOff: so, N: c})
+		reqs = append(reqs, ioat.CopyReq{Dst: ep.ring.Buf, DstOff: off + so, Src: skb.Buf, SrcOff: so, N: c})
 		so += c
 	}
 	core.RunOn(p, cpu.IOATSubmit, s.H.IOAT.SubmitCost(len(reqs)))

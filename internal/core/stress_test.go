@@ -95,9 +95,9 @@ func propertyStressRun(t *testing.T, seed int64) bool {
 		t.Logf("seed %d: leaked skbuffs %d/%d", seed, pr.sa.H.NIC.SkbsLive(), pr.sb.H.NIC.SkbsLive())
 		return false
 	}
-	if len(pr.epA.freeSlots) != pr.sa.Cfg.RingSlots || len(pr.epB.freeSlots) != pr.sb.Cfg.RingSlots {
+	if pr.epA.ring.InUse() != 0 || pr.epB.ring.InUse() != 0 {
 		t.Logf("seed %d: leaked ring slots A=%d/%d B=%d/%d evqA=%d evqB=%d uxA=%d uxB=%d",
-			seed, len(pr.epA.freeSlots), pr.sa.Cfg.RingSlots, len(pr.epB.freeSlots), pr.sb.Cfg.RingSlots,
+			seed, pr.epA.ring.InUse(), pr.sa.Cfg.RingSlots, pr.epB.ring.InUse(), pr.sb.Cfg.RingSlots,
 			len(pr.epA.evq), len(pr.epB.evq), len(pr.epA.ux), len(pr.epB.ux))
 		for _, c := range pr.epB.rxChans {
 			t.Logf("  B rxChan complete=%d pending=%d asm=%d", c.win.Edge(), c.win.Pending(), len(c.asm))

@@ -12,6 +12,7 @@
 package hostmem
 
 import (
+	"bytes"
 	"fmt"
 
 	"omxsim/platform"
@@ -41,17 +42,22 @@ func New(p *platform.Platform) *Memory {
 func (m *Memory) Allocated() int64 { return m.allocated }
 
 // Buffer is a contiguous, addressable region of host memory holding
-// real bytes. Buffers remember which core last touched them (for
-// warmth and cross-socket decisions), how much of them the current
-// warm episode actually covers, whether a device DMA produced their
-// current contents (and how much of that deposit has been snooped
-// back), any pending DCA push, their NUMA home socket, and their pin
-// refcount.
+// real bytes. Its logical size — what the model sees: addresses,
+// pages, warmth, coverage — is fixed at allocation. Data is the real
+// backing; it spans the whole logical size except for a Ring's
+// buffer, whose backing is materialized slot by slot on first use
+// (bytes beyond it read as zero). Buffers remember which core last
+// touched them (for warmth and cross-socket decisions), how much of
+// them the current warm episode actually covers, whether a device DMA
+// produced their current contents (and how much of that deposit has
+// been snooped back), any pending DCA push, their NUMA home socket,
+// and their pin refcount.
 type Buffer struct {
 	Mem  *Memory
 	Addr int64
 	Data []byte
 
+	size   int // logical size; len(Data) <= size
 	pinRef int
 	home   int // NUMA home socket of the backing pages
 
@@ -86,6 +92,12 @@ func (m *Memory) Alloc(size int) *Buffer {
 // given NUMA node (socket). Device DMA deposits into remote-socket
 // buffers pay the platform's remote-DMA penalty.
 func (m *Memory) AllocOn(size, socket int) *Buffer {
+	return m.alloc(size, socket, size)
+}
+
+// alloc returns a buffer of the given logical size whose first
+// backed bytes are materialized.
+func (m *Memory) alloc(size, socket, backed int) *Buffer {
 	if size < 0 {
 		panic(fmt.Sprintf("hostmem: negative alloc %d", size))
 	}
@@ -93,7 +105,7 @@ func (m *Memory) AllocOn(size, socket int) *Buffer {
 		panic(fmt.Sprintf("hostmem: alloc on socket %d of %d", socket, m.P.Sockets))
 	}
 	b := &Buffer{
-		Mem: m, Addr: m.nextAddr, Data: make([]byte, size),
+		Mem: m, Addr: m.nextAddr, Data: make([]byte, backed), size: size,
 		lastCore: -1, home: socket, dcaDom: -1,
 		covL2: make([]int, m.P.L2Domains()),
 	}
@@ -105,13 +117,22 @@ func (m *Memory) AllocOn(size, socket int) *Buffer {
 // HomeSocket reports the NUMA node the buffer's pages live on.
 func (b *Buffer) HomeSocket() int { return b.home }
 
-// Size reports the buffer length in bytes.
-func (b *Buffer) Size() int { return len(b.Data) }
+// Size reports the buffer's logical length in bytes.
+func (b *Buffer) Size() int { return b.size }
+
+// materialize grows the backing to at least n bytes (n <= Size),
+// keeping the bytes already written. Code holding the *Buffer (a
+// queued I/OAT descriptor, a scheduled deposit) sees the new backing.
+func (b *Buffer) materialize(n int) {
+	if n > len(b.Data) {
+		b.Data = append(b.Data, make([]byte, n-len(b.Data))...)
+	}
+}
 
 // Pages reports the number of pages the buffer spans (for pin costs).
 func (b *Buffer) Pages() int {
 	ps := b.Mem.P.PageSize
-	return (len(b.Data) + ps - 1) / ps
+	return (b.size + ps - 1) / ps
 }
 
 // Pin increments the pin refcount and reports whether this call
@@ -144,10 +165,10 @@ func (b *Buffer) Touch(core int, n int) {
 	dom := m.P.L2DomainOf(core)
 	m.l2Clocks[dom] += int64(n)
 	m.l1Clocks[core] += int64(n)
-	span := min(n, len(b.Data))
-	b.covL2[dom] = min(len(b.Data), b.covL2[dom]+span)
+	span := min(n, b.size)
+	b.covL2[dom] = min(b.size, b.covL2[dom]+span)
 	if b.lastCore == core {
-		b.covL1 = min(len(b.Data), b.covL1+span)
+		b.covL1 = min(b.size, b.covL1+span)
 	} else {
 		b.covL1 = span
 	}
@@ -156,7 +177,7 @@ func (b *Buffer) Touch(core int, n int) {
 	b.l1TouchMark = m.l1Clocks[core]
 	if b.dmaCold {
 		b.dmaSnooped += n
-		if b.dmaSnooped >= len(b.Data) {
+		if b.dmaSnooped >= b.size {
 			b.dmaCold = false
 			b.dmaSnooped = 0
 		}
@@ -192,7 +213,7 @@ func (b *Buffer) clearCoverage() {
 func (b *Buffer) WrittenByDCA(targetCore, n int) {
 	m := b.Mem
 	dom := m.P.L2DomainOf(targetCore)
-	push := min(n, len(b.Data))
+	push := min(n, b.size)
 	if budget := int(m.P.DCALLCBudget); budget > 0 && push > budget {
 		push = budget
 	}
@@ -289,7 +310,7 @@ func (b *Buffer) WarmL2(core int) bool {
 	}
 	dom := m.P.L2DomainOf(core)
 	traffic := m.l2Clocks[dom] - b.l2TouchMark
-	return traffic+int64(len(b.Data)) <= m.P.L2Size
+	return traffic+int64(b.size) <= m.P.L2Size
 }
 
 // WarmSpanL2 reports whether a copy of n bytes out of the buffer can
@@ -308,7 +329,7 @@ func (b *Buffer) WarmL1(core int) bool {
 	}
 	m := b.Mem
 	traffic := m.l1Clocks[core] - b.l1TouchMark
-	return traffic+int64(len(b.Data)) <= m.P.L1Size
+	return traffic+int64(b.size) <= m.P.L1Size
 }
 
 // WarmSpanL1 is WarmL1 with the same coverage bound as WarmSpanL2,
@@ -327,21 +348,29 @@ func (b *Buffer) RemoteSocket(core int) bool {
 	return !b.Mem.P.SameSocket(core, b.lastCore)
 }
 
-// Fill writes a deterministic pattern derived from seed into the
-// buffer (test and example helper; does not touch warmth clocks).
+// Fill writes a deterministic pattern derived from seed over the
+// buffer's whole logical size, materializing any unbacked tail (test
+// and example helper; does not touch warmth clocks).
 func (b *Buffer) Fill(seed byte) {
+	b.materialize(b.size)
 	for i := range b.Data {
 		b.Data[i] = seed + byte(i*131)
 	}
 }
 
-// Equal reports whether two buffers hold identical bytes.
+// Equal reports whether two buffers hold identical bytes over the
+// same logical size (unbacked bytes read as zero).
 func Equal(a, b *Buffer) bool {
-	if len(a.Data) != len(b.Data) {
+	if a.size != b.size {
 		return false
 	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
+	n := min(len(a.Data), len(b.Data))
+	return bytes.Equal(a.Data[:n], b.Data[:n]) && zero(a.Data[n:]) && zero(b.Data[n:])
+}
+
+func zero(p []byte) bool {
+	for _, c := range p {
+		if c != 0 {
 			return false
 		}
 	}

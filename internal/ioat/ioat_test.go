@@ -266,3 +266,33 @@ func TestNegativeSizePanics(t *testing.T) {
 	b := mem.Alloc(10)
 	eng.Channel(0).Submit(CopyReq{Dst: b, Src: b, N: -1})
 }
+
+// A descriptor submitted into a receive-ring slot before later slots
+// force the ring's backing to grow retires into the grown backing:
+// the engine resolves the destination bytes at retire time.
+func TestCopyIntoRingSlotSurvivesGrowth(t *testing.T) {
+	e, _, mem, eng := setup()
+	ring := mem.AllocRing(512, 4096)
+	slot := ring.Take()
+	src := mem.Alloc(4096)
+	src.Fill(7)
+	ch := eng.Channel(0)
+	ch.Submit(CopyReq{Dst: ring.Buf, DstOff: ring.Off(slot), Src: src, N: 4096})
+	before := &ring.Buf.Data[0]
+	for range 64 {
+		ring.Take()
+	}
+	if &ring.Buf.Data[0] == before {
+		t.Fatal("taking 64 slots never reallocated the backing; the test proves nothing")
+	}
+	e.Run()
+	got := ring.Buf.Data[ring.Off(slot) : ring.Off(slot)+4096]
+	for i, c := range got {
+		if c != src.Data[i] {
+			t.Fatalf("byte %d of the slot = %d, want %d: the copy landed in the old backing", i, c, src.Data[i])
+		}
+	}
+	if !ring.Buf.DMACold() {
+		t.Fatal("retired copy did not mark the ring DMA-written")
+	}
+}

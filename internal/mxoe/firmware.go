@@ -141,7 +141,8 @@ func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
 		s.Stats.DupFrags++
 		return
 	}
-	if len(ep.freeSlots) == 0 {
+	slot := ep.ring.Take()
+	if slot < 0 {
 		// Queue overrun: drop without recording the fragment; the
 		// sender's retransmission timer recovers it.
 		s.Stats.QueueDrops++
@@ -153,14 +154,12 @@ func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
 		delete(ch.asm, m.Seq)
 		ch.markComplete(m.Seq)
 	}
-	slot := ep.freeSlots[len(ep.freeSlots)-1]
-	ep.freeSlots = ep.freeSlots[:len(ep.freeSlots)-1]
 	n := len(f.Data)
 	firmwareMatch := sim.Duration(s.H.P.MXFirmwareMatchCost)
-	s.H.E.Schedule(firmwareMatch+s.dmaDelayTo(ep.ring, n), func() {
-		off := ep.slotOff(slot)
-		copy(ep.ring.Data[off:off+n], f.Data)
-		s.deposit(ep, ep.ring, n)
+	s.H.E.Schedule(firmwareMatch+s.dmaDelayTo(ep.ring.Buf, n), func() {
+		off := ep.ring.Off(slot)
+		copy(ep.ring.Buf.Data[off:off+n], f.Data)
+		s.deposit(ep, ep.ring.Buf, n)
 		ep.pushEvent(&event{
 			kind: evEagerFrag, src: m.Src, match: m.Match, seq: m.Seq,
 			msgLen: m.MsgLen, fragID: m.FragID, fragCnt: m.FragCount,

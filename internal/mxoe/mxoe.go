@@ -214,8 +214,7 @@ type Endpoint struct {
 	ID   int
 	Core int
 
-	ring      *hostmem.Buffer
-	freeSlots []int
+	ring *hostmem.Ring // eager receive queue, one 4 kiB slot per fragment
 
 	evq   []*event
 	evSig *sim.Signal
@@ -356,14 +355,11 @@ func (s *Stack) OpenEndpoint(id, coreID int) *Endpoint {
 	}
 	ep := &Endpoint{
 		S: s, ID: id, Core: coreID,
-		ring:  s.H.Alloc(s.Cfg.RingSlots * proto.MediumFragSize),
+		ring:  s.H.Mem.AllocRing(s.Cfg.RingSlots, proto.MediumFragSize),
 		evSig: sim.NewSignal(),
 		asm:   make(map[asmKey]*assembly),
 		tx:    make(map[proto.Addr]*mxTxChan),
 		rx:    make(map[proto.Addr]*mxRxChan),
-	}
-	for i := s.Cfg.RingSlots - 1; i >= 0; i-- {
-		ep.freeSlots = append(ep.freeSlots, i)
 	}
 	s.endpoints[id] = ep
 	return ep
@@ -650,12 +646,12 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 			n = limit - ev.offset
 		}
 		if n > 0 && dstBuf != nil {
-			d := ep.S.H.Copy.Memcpy(dstBuf, dstOff, ep.ring, ep.slotOff(ev.slot), n, ep.Core)
+			d := ep.S.H.Copy.Memcpy(dstBuf, dstOff, ep.ring.Buf, ep.ring.Off(ev.slot), n, ep.Core)
 			ep.core().RunOn(p, cpu.UserLib, d)
 		}
 	}
 	if ev.slot >= 0 {
-		ep.freeSlots = append(ep.freeSlots, ev.slot)
+		ep.ring.Put(ev.slot)
 	}
 	if a.arrived == a.fragCnt {
 		delete(ep.asm, key)
@@ -678,8 +674,6 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 		ep.S.transmit(ev.src, &proto.Ack{Src: ev.src, Dst: ep.Addr(), AckSeq: ack}, nil)
 	}
 }
-
-func (ep *Endpoint) slotOff(i int) int { return i * proto.MediumFragSize }
 
 // startPull: user-level pull command; the firmware then drives the
 // whole transfer with zero host involvement.

@@ -67,6 +67,21 @@ func exchange(t *testing.T, pr *pair, count, n int) {
 			t.Fatalf("message %d corrupted (n=%d)", i, n)
 		}
 	}
+	checkRingsDrained(t, pr.epA, pr.epB)
+}
+
+// checkRingsDrained fails the test if any endpoint still holds a
+// receive-queue slot once every message has completed: each slot the
+// firmware fills must come back when the library consumes its event,
+// whatever the network dropped, duplicated or reordered.
+func checkRingsDrained(t *testing.T, eps ...*Endpoint) {
+	t.Helper()
+	for _, ep := range eps {
+		if n := ep.ring.InUse(); n != 0 {
+			t.Fatalf("%s endpoint %d leaked %d/%d receive-queue slots (evq=%d ux=%d asm=%d)",
+				ep.S.H.Name, ep.ID, n, ep.S.Cfg.RingSlots, len(ep.evq), len(ep.ux), len(ep.asm))
+		}
+	}
 }
 
 func TestEagerRecoversFromLoss(t *testing.T) {
@@ -228,6 +243,7 @@ func TestManyPeersIndependentWindows(t *testing.T) {
 			}
 		}
 	}
+	checkRingsDrained(t, append(p.sendEPs, p.recvEP)...)
 }
 
 // pr3 builds three senders and one receiver on a lossy switch.

@@ -404,7 +404,11 @@ func (s *Server) executeJob(j *jobState, topo TopologySpec) (*JobResult, error) 
 				if err != nil {
 					return nil, err
 				}
-				return sweepVal{Results: res, Net: c.NetStats(), CPU: hostCPUs(c)}, nil
+				v := sweepVal{Results: res, Net: c.NetStats(), CPU: hostCPUs(c)}
+				// The snapshot is all the result keeps: free the
+				// cluster's hosts and their bottom-half goroutines.
+				c.Close()
+				return v, nil
 			},
 		}
 	}

@@ -168,9 +168,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // apiError is the uniform error body.
@@ -285,6 +283,8 @@ func (s *Server) handleClusterCreate(w http.ResponseWriter, r *http.Request) {
 		Hosts: len(c.Hosts()), NICs: nics, Switches: len(c.Switches()),
 		Created: time.Now(),
 	}
+	// The dry build only validates and counts; jobs build their own.
+	c.Close()
 	if !s.clusters.PutIfAbsent(tenant+"/"+req.Name, rec) {
 		s.error(w, http.StatusConflict, "cluster %q already exists", req.Name)
 		return

@@ -166,10 +166,11 @@ func expectedSweepTable(t *testing.T, topo TopologySpec, spec JobSpec, canonTest
 		if err != nil {
 			t.Fatalf("topology: %v", err)
 		}
-		res, _, err := figures.SweepOn(top, fs, spec.PPN, spec.Test, spec.Sizes, itersFunc(spec.Iters))
+		res, c, err := figures.SweepOn(top, fs, spec.PPN, spec.Test, spec.Sizes, itersFunc(spec.Iters))
 		if err != nil {
 			t.Fatalf("SweepOn: %v", err)
 		}
+		c.Close()
 		points[i] = PointResult{
 			Stack:   st,
 			Label:   fmt.Sprintf("sweep/%s/%s", spec.Test, fs.Name()),
