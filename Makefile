@@ -1,5 +1,5 @@
 # Mirrors .github/workflows/ci.yml: `make ci-fast` is exactly the CI
-# fast job, `make race` the full job, `make golden-check` the
+# fast job, `make ci-full` the full job, `make golden-check` the
 # golden-figures job, `make bench-ci` one leg of the bench job.
 # Contributors who run these before pushing run exactly what CI runs.
 
@@ -9,8 +9,7 @@ GO ?= go
 STATICCHECK ?= $(GO) run honnef.co/go/tools/cmd/staticcheck@2024.1.1
 
 .PHONY: all build test test-short race fmt fmt-check vet lint bench bench-ci \
-	golden golden-check stress multinic fattree nicoll adaptive benchalloc simd \
-	dca examples linkcheck ci-fast ci-full
+	golden golden-check benchalloc examples linkcheck ci-fast ci-full
 
 all: build
 
@@ -23,8 +22,12 @@ test:
 test-short:
 	$(GO) test -short ./...
 
+# The whole suite under the race detector. STRESS_SEEDS widens the
+# seeded storm sweeps (cluster/stress_test.go) from their default of
+# one seed per combination; the full CI job runs 20.
+STRESS_SEEDS ?= 20
 race:
-	$(GO) test -race ./...
+	OMXSIM_STRESS_SEEDS=$(STRESS_SEEDS) $(GO) test -race ./...
 
 fmt:
 	gofmt -w .
@@ -60,74 +63,6 @@ golden:
 golden-check:
 	$(GO) run ./cmd/omxsim all > /tmp/omxsim-all.rendered
 	diff -u figures/testdata/omxsim-all.golden /tmp/omxsim-all.rendered
-
-# Long-run reliability battery: seeded message storms under network
-# impairment across all three stack pairings, plus the interop and
-# firmware loss tests, under the race detector. STRESS_SEEDS widens
-# the sweep (the full CI job runs the tests' default seed count).
-STRESS_SEEDS ?= 20
-stress:
-	OMXSIM_STRESS_SEEDS=$(STRESS_SEEDS) $(GO) test -race -count=1 \
-		-run 'Stress|Storm|Loss|Impair|Recover|Fuzz' \
-		./cluster ./internal/core ./internal/mxoe ./internal/interop ./figures
-
-# Multi-NIC striping battery: the striped storms under per-lane
-# impairment and cross-NIC skew (all three stack pairings), the
-# stripe-reassembly fuzz corpus, per-NIC drop-attribution tests, the
-# multinic figure guardrails and the 1-NIC ≡ legacy-path proof, under
-# the race detector. STRESS_SEEDS widens the storm sweep.
-multinic:
-	OMXSIM_STRESS_SEEDS=$(STRESS_SEEDS) $(GO) test -race -count=1 \
-		-run 'Striping|StripedLoss|StripeReassembly|MultiNIC|RingDropAttributed|1NICMatchesLegacy' \
-		./cluster ./internal/core ./figures
-
-# Fat-tree battery: topology/Build equivalence, ECMP determinism and
-# spread, the trunk-incast drop-attribution storm, the 64-rank
-# parallel==serial figure guardrail and the calendar-queue event-core
-# tests, under the race detector.
-fattree:
-	$(GO) test -race -count=1 ./sim
-	$(GO) test -race -count=1 -run 'FatTree|ECMP|Trunk|Topology|Build' \
-		./cluster ./internal/wire ./figures
-
-# NIC-offloaded collective battery: host≡firmware result equality
-# (odd/single-rank/zero-byte worlds), dispatcher≡pinned for the
-# offload tier, firmware loss recovery, the collective-frame drop
-# gate on the host stack, and the nicoll figure guardrails
-# (CPU-win acceptance + parallel==serial), under the race detector.
-nicoll:
-	$(GO) test -race -count=1 -run 'NIColl|Nicoll|CollDrop' \
-		./mpi ./internal/core ./internal/mxoe ./figures
-
-# Adaptive-transport battery: the adaptive-vs-static acceptance tests
-# (never >10% below the best static policy, wins outright under loss),
-# the adaptive storm/striping/incast stress rigs, the window-shadow
-# fuzz corpus, trace-export conformance plus the golden trace, and the
-# parallel==serial determinism guardrails — all under the race
-# detector. STRESS_SEEDS widens the storm sweeps.
-adaptive:
-	OMXSIM_STRESS_SEEDS=$(STRESS_SEEDS) $(GO) test -race -count=1 \
-		-run 'Adaptive|RTT|AIMD|Steer|Trace|GoldenCanary' \
-		./cluster ./internal/core ./internal/mxoe ./internal/proto \
-		./internal/simd ./sim/trace ./figures
-
-# Memory-hierarchy battery: warmth-coverage and DMA/DCA ledger unit
-# tests, registration-cache churn, the copy-rate decision table, the
-# I/OAT engine (NUMA deposit costs included) and the dca figure
-# guardrails (warm-consumer acceptance + parallel==serial), under the
-# race detector.
-dca:
-	$(GO) test -race -count=1 ./internal/hostmem ./internal/memmodel ./internal/ioat
-	$(GO) test -race -count=1 -run 'DCA|GoldenCanary' ./figures
-
-# The omxsimd service battery: the multi-tenant HTTP job service
-# end to end under the race detector — concurrent tenants whose sweep
-# results must be bit-identical to direct figures calls, quota 429s,
-# SSE monotonic delivery, graceful drain, the 4xx surface, the load
-# smoke (100 sequential + 16 concurrent clients with a p99 latency
-# bound), and the real-binary SIGTERM exit-0 test.
-simd:
-	$(GO) test -race -count=1 ./internal/simd ./cmd/omxsimd
 
 # The allocation gates. The calendar-queue benchmark must report
 # exactly 0 allocs/op in steady state, or the zero-allocation claim
@@ -167,4 +102,4 @@ linkcheck:
 
 ci-fast: build vet lint fmt-check examples linkcheck test-short
 
-ci-full: race stress multinic fattree nicoll adaptive benchalloc simd dca
+ci-full: race benchalloc

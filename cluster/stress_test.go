@@ -6,8 +6,8 @@ package cluster_test
 // tiny-through-large messages, shuffled posting order, 1 % loss plus
 // reordering, duplication and jitter on every link — with end-to-end
 // payload verification of every message. The fast (-short) gate runs
-// one seed per combination; the full suite and `make stress` sweep
-// more (OMXSIM_STRESS_SEEDS overrides the count).
+// one seed per combination; the full suite sweeps more, and the race
+// run (`make race`, the full CI job) sets OMXSIM_STRESS_SEEDS=20.
 
 import (
 	"fmt"

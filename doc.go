@@ -42,13 +42,17 @@
 //     NUMA-distance deposit costs and mark every deposit
 //     (WrittenByDMA, or WrittenByDCA on a platform.ClovertownDCA
 //     machine, where the NIC pushes receive-ring lines into the
-//     interrupt core's LLC). Both stacks share the
-//     adaptive-transport tier in
-//     internal/proto (Config.Adaptive): per-peer Jacobson/Karels RTT
-//     estimation driving every retransmit timeout, AIMD pull windows
-//     bounded by the lane count, and load-based IRQ steering from CPU
-//     ledger deltas on multi-NIC hosts — with Adaptive off the static
-//     path is bit-identical to before the tier existed.
+//     interrupt core's LLC). Every per-peer transport decision both
+//     stacks make lives once in internal/proto: the wire formats, the
+//     receive window and tx channel (sequence issue, cumulative acks
+//     with Karn-rule RTT samples, the backed-off retransmission
+//     timer), rendezvous dedup, round-robin striping, MX matching,
+//     and the adaptive-transport tier's proto.Peers (Config.Adaptive:
+//     per-peer Jacobson/Karels RTT estimation driving every retransmit
+//     timeout and AIMD pull windows bounded by the lane count). Open-MX
+//     adds load-based IRQ steering from CPU ledger deltas on multi-NIC
+//     hosts; with Adaptive off the static path is bit-identical to
+//     before the tier existed.
 //     internal/cpu models each core as a serial two-priority work
 //     queue with per-category busy ledgers (user library, driver,
 //     bottom-half processing and copies, I/OAT submission,

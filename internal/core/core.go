@@ -304,24 +304,17 @@ type Stack struct {
 	sends      map[int]*largeSend // by sender handle
 	pulls      map[int]*largePull // by receiver handle
 
-	// Rendezvous dedup: remembers handled rendezvous by (src, seq) so
-	// retransmitted requests don't restart transfers. Completed
-	// entries are kept (to re-ack lost RndvAcks) in a bounded FIFO:
-	// rndvDone evicts the oldest past proto.RndvDedupWindow, so the
-	// map cannot grow without bound and a wrapped-around sequence
-	// number cannot collide with an ancient entry.
-	rndvSeen map[rndvKey]*rndvState
-	rndvDone []rndvKey
+	// rndv remembers handled rendezvous so retransmitted requests
+	// don't restart transfers and finished ones can be re-acked.
+	rndv proto.RndvDedup
 
-	// Adaptive-transport state (Config.Adaptive; see adaptive.go).
-	// adaptiveRTO / adaptiveWin record whether the timeout and the pull
-	// window are derived online (an explicit RetransmitTimeout or
-	// PullBlocks in the Config pins the static value even with
+	// peers owns the retransmission schedule and, with Config.Adaptive,
+	// the per-peer RTT estimators and AIMD pull windows (internal/proto).
+	// adaptiveWin records whether the pull window is derived online (an
+	// explicit PullBlocks in the Config pins the static value even with
 	// Adaptive set).
-	adaptiveRTO bool
+	peers       proto.Peers
 	adaptiveWin bool
-	rtt         map[proto.Addr]*proto.RTTEstimator
-	pullWin     map[proto.Addr]*proto.AIMDWindow
 	// IRQ/bottom-half steering epochs (multi-NIC adaptive hosts).
 	steerEvery  sim.Duration // 0 = steering disabled
 	steerNext   sim.Time     // next quantized decision boundary
@@ -344,18 +337,6 @@ func (s *Stack) RegStats() hostmem.RegStats {
 	return s.reg.Stats()
 }
 
-type rndvKey struct {
-	src proto.Addr
-	dst int // local endpoint
-	seq uint32
-}
-
-type rndvState struct {
-	handle int  // receiver pull handle
-	done   bool // transfer finished; re-ack on duplicate request
-	sender int  // sender handle, for re-acks
-}
-
 // Attach builds an Open-MX stack on h and registers its receive
 // callback with every NIC (generic Ethernet mode). With Config.AutoTune
 // the startup threshold probe runs here, against h's platform.
@@ -369,7 +350,7 @@ type rndvState struct {
 func Attach(h *host.Host, cfg Config) *Stack {
 	// Adaptive derivations apply only where no explicit value pins the
 	// static behaviour — decided before any default is filled in.
-	adaptiveRTO := cfg.Adaptive && cfg.RetransmitTimeout == 0
+	pinnedRTO := cfg.RetransmitTimeout != 0
 	adaptiveWin := cfg.Adaptive && cfg.PullBlocks == 0
 	if cfg.PullBlocks == 0 && h.Lanes() > 1 {
 		cfg.PullBlocks = Defaults().PullBlocks * h.Lanes()
@@ -392,22 +373,20 @@ func Attach(h *host.Host, cfg Config) *Stack {
 	}
 	cfg.fillDefaults()
 	s := &Stack{
-		H:           h,
-		Cfg:         cfg,
-		lanes:       h.Lanes(),
-		endpoints:   make(map[int]*Endpoint),
-		sends:       make(map[int]*largeSend),
-		pulls:       make(map[int]*largePull),
-		rndvSeen:    make(map[rndvKey]*rndvState),
-		adaptiveRTO: adaptiveRTO,
+		H:         h,
+		Cfg:       cfg,
+		lanes:     h.Lanes(),
+		endpoints: make(map[int]*Endpoint),
+		sends:     make(map[int]*largeSend),
+		pulls:     make(map[int]*largePull),
+		rndv:      proto.NewRndvDedup(),
+		peers: proto.NewPeers(cfg.Adaptive, pinnedRTO, proto.Schedule{
+			Base: cfg.RetransmitTimeout, Backoff: cfg.RetransmitBackoff, Max: cfg.RetransmitMax,
+		}, h.Lanes()),
 		adaptiveWin: adaptiveWin,
 	}
-	if cfg.Adaptive {
-		s.rtt = make(map[proto.Addr]*proto.RTTEstimator)
-		s.pullWin = make(map[proto.Addr]*proto.AIMDWindow)
-		if s.lanes > 1 {
-			s.steerEvery = steerEpoch
-		}
+	if cfg.Adaptive && s.lanes > 1 {
+		s.steerEvery = steerEpoch
 	}
 	if cfg.RegCache {
 		s.reg = hostmem.NewRegCache(cfg.RegCacheEntries)
@@ -445,8 +424,8 @@ func (s *Stack) laneOf(seq uint32, unit int) int {
 		return int((uint64(seq) * 0x9E3779B97F4A7C15 >> 33) % uint64(s.lanes))
 	case StripeSingle:
 		return 0
-	default: // round-robin
-		return (int(seq) + unit) % s.lanes
+	default:
+		return proto.RoundRobinLane(seq, unit, s.lanes)
 	}
 }
 
@@ -507,7 +486,7 @@ type largePull struct {
 	req          *Request
 	src          proto.Addr
 	senderHandle int
-	key          rndvKey
+	key          proto.RndvKey
 	buf          *hostmem.Buffer
 	off, n       int
 

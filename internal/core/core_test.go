@@ -544,16 +544,16 @@ func TestPropertyPageChunks(t *testing.T) {
 }
 
 func TestMatchesSemantics(t *testing.T) {
-	if !matches(0xFF, 0xFF, 0xFF) {
+	if !proto.Matches(0xFF, 0xFF, 0xFF) {
 		t.Fatal("exact match failed")
 	}
-	if matches(0xFF, 0xFF, 0xFE) {
+	if proto.Matches(0xFF, 0xFF, 0xFE) {
 		t.Fatal("mismatch accepted")
 	}
-	if !matches(0, 0, 0xDEADBEEF) {
+	if !proto.Matches(0, 0, 0xDEADBEEF) {
 		t.Fatal("wildcard (mask 0) must match anything")
 	}
-	if !matches(0x1200, 0xFF00, 0x12AB) {
+	if !proto.Matches(0x1200, 0xFF00, 0x12AB) {
 		t.Fatal("masked match failed")
 	}
 }

@@ -109,28 +109,19 @@ type uxMsg struct {
 	lm     *localMsg
 }
 
-// txChan is the reliability state towards one remote endpoint: unacked
-// eager sends, the retransmission timer and its backoff attempt count.
-type txChan struct {
-	dst         proto.Addr
-	nextSeq     uint32
-	ackedSeq    uint32
-	unacked     []*eagerSend
-	rtx         sim.Timer
-	rtxAttempts int
-}
+// txChan is the reliability state towards one remote endpoint: the
+// shared sequence, cumulative-ack and retransmission-timer machinery
+// over the channel's unacked eager sends.
+type txChan = proto.TxChan[*eagerSend]
 
+// eagerSend is one unacked eager message: what a retransmission needs
+// to rebuild its frames from the (still owned) user buffer.
 type eagerSend struct {
-	seq    uint32
+	proto.TxSend
 	req    *Request
 	match  uint64
 	buf    *hostmem.Buffer
 	off, n int
-	// sentAt is the first transmission time (the send -> cumulative-ack
-	// round trip is an RTT sample); rtxed marks a retransmitted send,
-	// never sampled (Karn's rule).
-	sentAt sim.Time
-	rtxed  bool
 }
 
 // rxChan is the receive-side state from one remote endpoint:
@@ -145,7 +136,7 @@ type rxChan struct {
 	// retransmitted duplicates of individual fragments are dropped in
 	// the bottom half, before they can consume a ring slot or queue
 	// an event the library might never process (entries retire when
-	// the message completes and isDup takes over).
+	// the message completes and win.IsDup takes over).
 	fragSeen    map[uint32]uint64
 	lastAckSent uint32
 	ackTimer    sim.Timer
@@ -190,7 +181,7 @@ func (ep *Endpoint) core() *cpu.Core { return ep.S.H.Sys.Core(ep.Core) }
 func (ep *Endpoint) txChan(dst proto.Addr) *txChan {
 	c := ep.txChans[dst]
 	if c == nil {
-		c = &txChan{dst: dst}
+		c = &txChan{Dst: dst}
 		ep.txChans[dst] = c
 	}
 	return c
@@ -210,46 +201,35 @@ func (ep *Endpoint) rxChan(src proto.Addr) *rxChan {
 	return c
 }
 
+// markComplete records seq as fully received and advances the
+// cumulative edge over any contiguous run it completes. The
+// per-fragment bitmap retires with it: win.IsDup covers the whole
+// message from here on.
+func (c *rxChan) markComplete(seq uint32) {
+	c.win.MarkComplete(seq)
+	delete(c.fragSeen, seq)
+}
+
+// fragSeenBefore reports whether fragment fragID of message seq was
+// already accepted — the driver-side duplicate check that keeps
+// retransmitted fragments from consuming ring slots or queuing
+// events the library might never drain.
+func (c *rxChan) fragSeenBefore(seq uint32, fragID int) bool {
+	return c.fragSeen[seq]&(uint64(1)<<uint(fragID)) != 0
+}
+
+// markFrag records fragment fragID of message seq as accepted. Only
+// accepted fragments are recorded: a fragment dropped for lack of a
+// ring slot must stay unseen so its retransmission is let through.
+func (c *rxChan) markFrag(seq uint32, fragID int) {
+	c.fragSeen[seq] |= uint64(1) << uint(fragID)
+}
+
 // pushEvent appends a driver→library event and wakes waiters. Callers
 // charge the event-write cost themselves.
 func (ep *Endpoint) pushEvent(ev *event) {
 	ep.evq = append(ep.evq, ev)
 	ep.evSig.Broadcast()
-}
-
-// pagesSpanned is the page count of an n-byte region (what the
-// driver actually pins — not the whole buffer).
-func pagesSpanned(n, pageSize int) int64 {
-	if n <= 0 {
-		return 1
-	}
-	return int64((n + pageSize - 1) / pageSize)
-}
-
-// pinCost returns the driver time to pin the n-byte region of buf,
-// honouring the stack's registration cache, and takes the pin
-// reference. A cache hit costs nothing; a miss pays PinPerPage over
-// the region, plus UnpinPerPage over any region the cache's LRU bound
-// forced out to make room.
-func (ep *Endpoint) pinCost(buf *hostmem.Buffer, n int) sim.Duration {
-	p := ep.S.H.P
-	if ep.S.reg != nil {
-		pinned, evicted := ep.S.reg.Acquire(buf, n)
-		return sim.Duration(pinned*p.PinPerPage + evicted*p.UnpinPerPage)
-	}
-	buf.Pin()
-	return sim.Duration(pagesSpanned(n, p.PageSize) * p.PinPerPage)
-}
-
-// unpinCost returns the driver time to release the region after a
-// transfer (zero with the registration cache, which defers
-// deregistration).
-func (ep *Endpoint) unpinCost(buf *hostmem.Buffer, n int) sim.Duration {
-	if ep.S.Cfg.RegCache {
-		return 0
-	}
-	buf.Unpin()
-	return sim.Duration(pagesSpanned(n, ep.S.H.P.PageSize) * ep.S.H.P.UnpinPerPage)
 }
 
 // takeAck returns the piggyback cumulative ack for outgoing traffic to
@@ -263,12 +243,6 @@ func (ep *Endpoint) takeAck(dst proto.Addr) uint32 {
 	c.ackTimer = sim.Timer{}
 	c.lastAckSent = c.win.Edge()
 	return c.win.Edge()
-}
-
-// matches implements MX matching: the receive's masked match value
-// must equal the message's masked match value.
-func matches(recvMatch, recvMask, msgMatch uint64) bool {
-	return recvMatch&recvMask == msgMatch&recvMask
 }
 
 // ---------------------------------------------------------------------
@@ -302,7 +276,7 @@ func (ep *Endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *hostmem.Buffer, 
 
 	// Unexpected queue first (arrival order).
 	for i, u := range ep.ux {
-		if !matches(match, mask, u.match) {
+		if !proto.Matches(match, mask, u.match) {
 			continue
 		}
 		ep.ux = append(ep.ux[:i], ep.ux[i+1:]...)
@@ -330,7 +304,7 @@ func (ep *Endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *hostmem.Buffer, 
 	var claim *assembly
 	for _, c := range ep.rxChans {
 		for _, a := range c.asm {
-			if a.dst == nil && matches(match, mask, a.match) && (claim == nil || claimBefore(a, claim)) {
+			if a.dst == nil && proto.Matches(match, mask, a.match) && (claim == nil || claimBefore(a, claim)) {
 				claim = a
 			}
 		}
@@ -407,15 +381,9 @@ func (ep *Endpoint) handleEvent(p *sim.Proc, ev *event) {
 		ep.handleEagerFrag(p, ev)
 	case evRndv:
 		ep.handleRndv(p, ev)
-	case evLargeDone:
-		d := ep.unpinCost(ev.req.buf, ev.req.n)
-		if d > 0 {
-			ep.core().RunOn(p, cpu.DriverCmd, d)
-		}
-		ev.req.done = true
-	case evSendDone:
-		d := ep.unpinCost(ev.req.buf, ev.req.n)
-		if d > 0 {
+	case evLargeDone, evSendDone:
+		// Deregistration is deferred with the registration cache.
+		if d := ep.S.reg.UnpinCost(ev.req.buf, ev.req.n, ep.S.H.P.UnpinPerPage); d > 0 {
 			ep.core().RunOn(p, cpu.DriverCmd, d)
 		}
 		ev.req.done = true
@@ -435,7 +403,7 @@ func (ep *Endpoint) handleEvent(p *sim.Proc, ev *event) {
 // Figure 2), reassemble, complete.
 func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 	c := ep.rxChan(ev.src)
-	if c.isDup(ev.seq) {
+	if c.win.IsDup(ev.seq) {
 		// Duplicate of a fully received message that slipped past the
 		// driver check (completed between BH and library processing):
 		// drop payload, make sure an ack goes out.
@@ -449,7 +417,7 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 		a = &assembly{src: ev.src, seq: ev.seq, match: ev.match, msgLen: ev.msgLen, fragCnt: ev.fragCnt}
 		// Match against posted receives at first sight of the message.
 		for i, r := range ep.posted {
-			if matches(r.match, r.mask, ev.match) {
+			if proto.Matches(r.match, r.mask, ev.match) {
 				ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
 				a.dst = r
 				break
@@ -524,14 +492,14 @@ func (ep *Endpoint) completeRecv(r *Request, src proto.Addr, match uint64, n int
 // reliability), then match or queue it.
 func (ep *Endpoint) handleRndv(p *sim.Proc, ev *event) {
 	c := ep.rxChan(ev.src)
-	if c.isDup(ev.seq) {
+	if c.win.IsDup(ev.seq) {
 		return // duplicate
 	}
 	c.markComplete(ev.seq)
 	ep.scheduleAck(c)
 	u := &uxMsg{kind: uxRndv, src: ev.src, match: ev.match, seq: ev.seq, msgLen: ev.msgLen, handle: ev.handle}
 	for i, r := range ep.posted {
-		if matches(r.match, r.mask, ev.match) {
+		if proto.Matches(r.match, r.mask, ev.match) {
 			ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
 			ep.startPull(p, r, u)
 			return
@@ -543,7 +511,7 @@ func (ep *Endpoint) handleRndv(p *sim.Proc, ev *event) {
 // handleLocalMsg matches an intra-node message or queues it.
 func (ep *Endpoint) handleLocalMsg(p *sim.Proc, ev *event) {
 	for i, r := range ep.posted {
-		if matches(r.match, r.mask, ev.lm.match) {
+		if proto.Matches(r.match, r.mask, ev.lm.match) {
 			ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
 			ep.localPull(p, r, ev.lm)
 			return
@@ -562,21 +530,24 @@ func (ep *Endpoint) handleLocalMsg(p *sim.Proc, ev *event) {
 func (ep *Endpoint) eagerSendOp(p *sim.Proc, r *Request) {
 	s := ep.S
 	tc := ep.txChan(r.dst)
-	r.seq = tc.nextTxSeq()
+	r.seq = tc.Next()
 	frags := proto.MediumFragsOf(r.n)
 	cost := sim.Duration(s.H.P.SyscallCost + int64(frags)*s.H.P.OMXTxBuildCost)
 	ep.core().RunOn(p, cpu.DriverCmd, cost)
-	tc.unacked = append(tc.unacked, &eagerSend{seq: r.seq, req: r, match: r.MatchInfo, buf: r.buf, off: r.off, n: r.n, sentAt: p.Now()})
-	s.transmitEager(ep, tc, r.seq, r.MatchInfo, r.buf, r.off, r.n)
+	tc.Unacked = append(tc.Unacked, &eagerSend{
+		TxSend: proto.TxSend{Seq: r.seq, SentAt: p.Now()},
+		req:    r, match: r.MatchInfo, buf: r.buf, off: r.off, n: r.n,
+	})
+	s.transmitEager(ep, tc.Dst, r.seq, r.MatchInfo, r.buf, r.off, r.n)
 	s.Stats.EagerSent++
 	ep.armEagerRtx(tc)
 }
 
 // transmitEager builds and transmits the fragment frames of one eager
 // message (also used by retransmission).
-func (s *Stack) transmitEager(ep *Endpoint, tc *txChan, seq uint32, match uint64, buf *hostmem.Buffer, off, n int) {
+func (s *Stack) transmitEager(ep *Endpoint, dst proto.Addr, seq uint32, match uint64, buf *hostmem.Buffer, off, n int) {
 	frags := proto.MediumFragsOf(n)
-	ack := ep.takeAck(tc.dst)
+	ack := ep.takeAck(dst)
 	for f := 0; f < frags; f++ {
 		fo := f * proto.MediumFragSize
 		fl := min(proto.MediumFragSize, n-fo)
@@ -590,8 +561,8 @@ func (s *Stack) transmitEager(ep *Endpoint, tc *txChan, seq uint32, match uint64
 		}
 		// Fragments stripe across NIC lanes (reassembly is bitmap-based
 		// and hole-aware, so cross-lane skew cannot corrupt anything).
-		s.transmitOn(s.laneOf(seq, f), tc.dst, &proto.Eager{
-			Src: ep.Addr(), Dst: tc.dst,
+		s.transmitOn(s.laneOf(seq, f), dst, &proto.Eager{
+			Src: ep.Addr(), Dst: dst,
 			Match: match, Seq: seq, MsgLen: n,
 			FragID: f, FragCount: frags, Offset: fo,
 			AckSeq: ack,
@@ -603,38 +574,26 @@ func (s *Stack) transmitEager(ep *Endpoint, tc *txChan, seq uint32, match uint64
 // backing off exponentially while the peer shows no progress (any
 // cumulative-ack advance resets the attempt count).
 func (ep *Endpoint) armEagerRtx(tc *txChan) {
-	if tc.rtx.Pending() || len(tc.unacked) == 0 {
-		return
-	}
 	s := ep.S
-	tc.rtx = s.H.E.Schedule(s.rtxTimeout(tc.dst, tc.rtxAttempts), func() {
-		tc.rtx = sim.Timer{}
-		if len(tc.unacked) == 0 {
-			return
-		}
-		tc.rtxAttempts++
+	tc.Arm(s.H.E, &s.peers, func(unacked []*eagerSend) {
 		s.Stats.EagerRetransmits++
-		s.traceRetransmit(tc.unacked[0].seq, -1, 0)
+		s.traceRetransmit(unacked[0].Seq, -1, 0)
 		// Rebuild and resend every unacked message; receivers dedup.
 		// One timer, one softirq context: the rebuild runs on the
 		// primary NIC's interrupt core even though the fragments then
 		// re-stripe across lanes (transmitEager recomputes each
 		// fragment's lane).
 		var build int64
-		for _, es := range tc.unacked {
+		for _, es := range unacked {
 			build += int64(proto.MediumFragsOf(es.n)) * s.H.P.OMXTxBuildCost
 		}
 		irq := s.H.Sys.Core(s.H.NIC.IRQCore)
-		unacked := append([]*eagerSend(nil), tc.unacked...)
-		for _, es := range unacked {
-			es.rtxed = true // Karn: never sample a retransmitted send
-		}
+		unacked = append([]*eagerSend(nil), unacked...)
 		irq.Exec(cpu.BHProc, sim.Duration(build), func() {
 			for _, es := range unacked {
-				s.transmitEager(ep, tc, es.seq, es.match, es.buf, es.off, es.n)
+				s.transmitEager(ep, tc.Dst, es.Seq, es.match, es.buf, es.off, es.n)
 			}
 		})
-		ep.armEagerRtx(tc)
 	})
 }
 
@@ -643,9 +602,9 @@ func (ep *Endpoint) armEagerRtx(tc *txChan) {
 // rendezvous request.
 func (ep *Endpoint) rndvSend(p *sim.Proc, r *Request) {
 	s := ep.S
-	tc := ep.txChan(r.dst)
-	r.seq = tc.nextTxSeq()
-	cost := sim.Duration(s.H.P.SyscallCost+s.H.P.OMXTxBuildCost) + ep.pinCost(r.buf, r.n)
+	r.seq = ep.txChan(r.dst).Next()
+	pin := s.reg.PinCost(r.buf, r.n, s.H.P.PinPerPage, s.H.P.UnpinPerPage)
+	cost := sim.Duration(s.H.P.SyscallCost+s.H.P.OMXTxBuildCost) + pin
 	ep.core().RunOn(p, cpu.DriverCmd, cost)
 
 	s.nextHandle++
@@ -669,7 +628,7 @@ func (s *Stack) transmitRndv(ls *largeSend) {
 // re-sends the request, backing off exponentially until the receiver
 // answers (progress resets the backoff).
 func (s *Stack) armRndvRtx(ls *largeSend) {
-	ls.rtx = s.H.E.Schedule(s.rtxTimeout(ls.dst, ls.attempts), func() {
+	ls.rtx = s.H.E.Schedule(s.peers.RTO(ls.dst, ls.attempts), func() {
 		if ls.finished {
 			return
 		}
@@ -693,14 +652,14 @@ func (s *Stack) armRndvRtx(ls *largeSend) {
 func (ep *Endpoint) startPull(p *sim.Proc, r *Request, u *uxMsg) {
 	s := ep.S
 	n := min(u.msgLen, r.n)
-	cost := sim.Duration(s.H.P.SyscallCost) + ep.pinCost(r.buf, n)
+	cost := sim.Duration(s.H.P.SyscallCost) + s.reg.PinCost(r.buf, n, s.H.P.PinPerPage, s.H.P.UnpinPerPage)
 	ep.core().RunOn(p, cpu.DriverCmd, cost)
 
 	s.nextHandle++
 	lp := &largePull{
 		handle: s.nextHandle, ep: ep, req: r,
 		src: u.src, senderHandle: u.handle,
-		key: rndvKey{src: u.src, dst: ep.ID, seq: u.seq},
+		key: proto.RndvKey{Src: u.src, Dst: ep.ID, Seq: u.seq},
 		buf: r.buf, off: r.off, n: n,
 		frags:  proto.FragsOf(n),
 		blocks: make(map[int]*pullBlock),
@@ -717,19 +676,14 @@ func (ep *Endpoint) startPull(p *sim.Proc, r *Request, u *uxMsg) {
 		lp.lastSeq = make([]uint64, s.lanes)
 	}
 	if s.adaptiveWin {
-		lp.aw = s.pullWindowFor(lp.src)
+		lp.aw = s.peers.Window(lp.src)
 		lp.lastWin = lp.aw.Window()
 	}
 	lp.startedAt = s.H.E.Now()
 	r.MatchInfo = u.match
 	r.SenderAddr = u.src
 	s.pulls[lp.handle] = lp
-	st := s.rndvSeen[lp.key]
-	if st == nil {
-		st = &rndvState{sender: u.handle}
-		s.rndvSeen[lp.key] = st
-	}
-	st.handle = lp.handle
+	s.rndv.Record(lp.key, u.handle)
 
 	for b := 0; b < s.pullWindow(lp) && lp.nextBlock < lp.numBlocks; b++ {
 		s.sendPullBlock(lp, lp.nextBlock, 0)

@@ -72,32 +72,25 @@ func (s *Stack) applyAck(p *sim.Proc, core *cpu.Core, epID int, from proto.Addr,
 	if tc == nil {
 		return
 	}
-	acked := tc.applyCumulative(ackSeq)
-	if len(tc.unacked) == 0 {
-		tc.rtx.Stop()
-		tc.rtx = sim.Timer{}
+	now := s.H.E.Now()
+	acked, sample := tc.Ack(ackSeq, now)
+	if len(acked) == 0 {
+		return
 	}
-	if len(acked) > 0 {
-		// The newest never-retransmitted send the ack covers is a clean
-		// round-trip sample (Karn's rule skips retransmitted ones).
-		now := s.H.E.Now()
-		sample := sim.Duration(-1)
-		done := make([]*Request, 0, len(acked))
-		for _, es := range acked {
-			done = append(done, es.req)
-			if !es.rtxed {
-				sample = now - es.sentAt
-			}
-			if s.Trace != nil {
-				s.Trace(TraceEvent{Kind: "eager", Frag: -1, Seq: es.seq, Lane: s.laneOf(es.seq, 0), Start: es.sentAt, End: now})
-			}
+	done := make([]*Request, 0, len(acked))
+	for _, es := range acked {
+		done = append(done, es.req)
+		if s.Trace != nil {
+			s.Trace(TraceEvent{Kind: "eager", Frag: -1, Seq: es.Seq, Lane: s.laneOf(es.Seq, 0), Start: es.SentAt, End: now})
 		}
-		if sample >= 0 {
-			s.observeRTT(from, sample)
-		}
-		s.chargeEvent(p, core)
-		ep.pushEvent(&event{kind: evEagerAcked, reqs: done})
 	}
+	// The newest never-retransmitted send the ack covers is a clean
+	// round-trip sample (Karn's rule skips retransmitted ones).
+	if srtt, ok := s.peers.Observe(from, sample); ok {
+		s.traceCounter("srtt", sim.Time(srtt).Micros())
+	}
+	s.chargeEvent(p, core)
+	ep.pushEvent(&event{kind: evEagerAcked, reqs: done})
 }
 
 // rxEager handles a tiny/small/medium fragment: copy it into the
@@ -117,7 +110,7 @@ func (s *Stack) rxEager(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.Eage
 	// never saw it. This must not depend on the application calling
 	// into the library: acks are a transport responsibility.
 	ch := ep.rxChan(m.Src)
-	if ch.isDup(m.Seq) {
+	if ch.win.IsDup(m.Seq) {
 		s.Stats.DupFrags++
 		ep.forceAck(ch)
 		return
@@ -209,15 +202,15 @@ func (s *Stack) rxRndv(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.RndvR
 	if ep == nil {
 		return
 	}
-	key := rndvKey{src: m.Src, dst: m.Dst.EP, seq: m.Seq}
-	if st := s.rndvSeen[key]; st != nil {
-		if st.done {
+	key := proto.RndvKey{Src: m.Src, Dst: m.Dst.EP, Seq: m.Seq}
+	if sender, finished, seen := s.rndv.Lookup(key); seen {
+		if finished {
 			// We finished but our ack was lost: re-ack.
-			s.transmit(m.Src, &proto.RndvAck{Src: ep.Addr(), Dst: m.Src, SenderHandle: st.sender}, nil)
+			s.transmit(m.Src, &proto.RndvAck{Src: ep.Addr(), Dst: m.Src, SenderHandle: sender}, nil)
 		}
 		return // duplicate; pull timers drive recovery otherwise
 	}
-	s.rndvSeen[key] = &rndvState{handle: -1, sender: m.SenderHandle}
+	s.rndv.Record(key, m.SenderHandle)
 	s.chargeEvent(p, core)
 	ep.pushEvent(&event{
 		kind: evRndv, src: m.Src, match: m.Match, seq: m.Seq,
@@ -240,7 +233,9 @@ func (s *Stack) rxPull(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *p
 	if !ls.sampled && ls.attempts == 0 {
 		// First pull answers the (never-retransmitted) rendezvous
 		// request: a clean request->pull round trip to the receiver.
-		s.observeRTT(m.Src, s.H.E.Now()-ls.sentAt)
+		if srtt, ok := s.peers.Observe(m.Src, s.H.E.Now()-ls.sentAt); ok {
+			s.traceCounter("srtt", sim.Time(srtt).Micros())
+		}
 	}
 	ls.sampled = true
 	ls.pulled = true
@@ -362,8 +357,8 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 		delete(lp.blocks, m.Block)
 		if s.Trace != nil {
 			s.Trace(TraceEvent{
-				Kind: "pull", Frag: -1, Seq: lp.key.seq, Block: blk.idx,
-				Lane: s.laneOf(lp.key.seq, blk.idx), Window: s.pullWindow(lp),
+				Kind: "pull", Frag: -1, Seq: lp.key.Seq, Block: blk.idx,
+				Lane: s.laneOf(lp.key.Seq, blk.idx), Window: s.pullWindow(lp),
 				Start: blk.sentAt, End: p.Now(),
 			})
 		}
@@ -372,7 +367,9 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 			// and the transfer's window controller (which may also back
 			// off here, on round-trip inflation).
 			rtt := p.Now() - blk.sentAt
-			s.observeRTT(lp.src, rtt)
+			if srtt, ok := s.peers.Observe(lp.src, rtt); ok {
+				s.traceCounter("srtt", sim.Time(srtt).Micros())
+			}
 			if lp.aw != nil {
 				lp.aw.OnSample(rtt)
 				s.traceCwnd(lp)
@@ -398,7 +395,7 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 			lp.nextBlock++
 			s.cleanup(p, core, lp)
 		}
-		s.traceQueue(lp)
+		s.traceCounter("pull-queue", float64(len(lp.blocks)))
 	}
 
 	if last {
@@ -443,11 +440,11 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 		}
 		lp.done = true
 		delete(s.pulls, lp.handle)
-		s.markRndvDone(lp)
+		s.rndv.Finish(lp.key)
 		lp.req.Len = lp.n
 		if s.Trace != nil {
 			s.Trace(TraceEvent{
-				Kind: "rndv", Frag: -1, Seq: lp.key.seq,
+				Kind: "rndv", Frag: -1, Seq: lp.key.Seq,
 				Window: s.pullWindow(lp), Start: lp.startedAt, End: p.Now(),
 			})
 		}
@@ -459,18 +456,6 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 		lp.ep.pushEvent(&event{kind: evLargeDone, req: lp.req})
 		s.transmit(lp.src, &proto.RndvAck{Src: lp.ep.Addr(), Dst: lp.src, SenderHandle: lp.senderHandle}, nil)
 	}
-}
-
-// markRndvDone flags the rendezvous as complete so duplicate requests
-// get re-acked instead of restarting the transfer, evicting the
-// oldest completed entry beyond the dedup window.
-func (s *Stack) markRndvDone(lp *largePull) {
-	st := s.rndvSeen[lp.key]
-	if st == nil {
-		return
-	}
-	st.done = true
-	s.rndvDone = proto.EvictOldest(s.rndvSeen, s.rndvDone, lp.key, proto.RndvDedupWindow)
 }
 
 // cleanup is the paper's Section III-B routine: poll the DMA engine's
@@ -531,7 +516,7 @@ func (s *Stack) sendPullBlock(lp *largePull, blockIdx int, mask uint64) {
 	if mask == 0 {
 		mask = blk.asm.FullMask()
 	}
-	s.transmitOn(s.laneOf(lp.key.seq, blockIdx), lp.src, &proto.Pull{
+	s.transmitOn(s.laneOf(lp.key.Seq, blockIdx), lp.src, &proto.Pull{
 		Src: lp.ep.Addr(), Dst: lp.src,
 		SenderHandle: lp.senderHandle, RecvHandle: lp.handle,
 		Block: blockIdx, FirstFrag: firstFrag, FragCount: count,
@@ -548,14 +533,14 @@ func (s *Stack) sendPullBlock(lp *largePull, blockIdx int, mask uint64) {
 // fragment arriving back off exponentially.
 func (s *Stack) armBlockTimer(lp *largePull, blk *pullBlock) {
 	blk.timer.Stop()
-	blk.timer = s.H.E.Schedule(s.rtxTimeout(lp.src, blk.attempts), func() {
+	blk.timer = s.H.E.Schedule(s.peers.RTO(lp.src, blk.attempts), func() {
 		if lp.done || blk.asm.Done() {
 			return
 		}
 		blk.attempts++
 		blk.rtxed = true
 		s.Stats.PullRetransmits++
-		s.traceRetransmit(lp.key.seq, blk.idx, s.laneOf(lp.key.seq, blk.idx))
+		s.traceRetransmit(lp.key.Seq, blk.idx, s.laneOf(lp.key.Seq, blk.idx))
 		if lp.aw != nil {
 			// The timeout is the loss signal: halve the window once per
 			// loss epoch (the next clean sample reopens the epoch).
@@ -567,7 +552,7 @@ func (s *Stack) armBlockTimer(lp *largePull, blk *pullBlock) {
 		// the core whose bottom half owns this block's traffic — so
 		// retransmission cost under per-lane impairment is charged
 		// where the lane's receive work already runs.
-		irq := s.H.Sys.Core(s.H.NICs[s.laneOf(lp.key.seq, blk.idx)].IRQCore)
+		irq := s.H.Sys.Core(s.H.NICs[s.laneOf(lp.key.Seq, blk.idx)].IRQCore)
 		irq.Exec(cpu.BHProc, sim.Duration(s.H.P.OMXTxBuildCost), func() {
 			if lp.done || blk.asm.Done() {
 				return

@@ -1,5 +1,7 @@
 package hostmem
 
+import "omxsim/sim"
+
 // RegCache is a per-host registration cache: regions pinned for a
 // transfer stay registered afterwards and later posts to the same
 // buffer reuse the registration for free, amortizing the per-page pin
@@ -65,11 +67,7 @@ func (rc *RegCache) Acquire(buf *Buffer, n int) (pinPages, unpinPages int64) {
 	}
 	rc.stats.Misses++
 	buf.Pin()
-	pages := int64(1)
-	if n > 0 {
-		ps := buf.Mem.P.PageSize
-		pages = int64((n + ps - 1) / ps)
-	}
+	pages := pagesSpanned(buf, n)
 	e := &regEntry{buf: buf, pages: pages}
 	rc.entries[buf] = e
 	rc.pushFront(e)
@@ -78,6 +76,39 @@ func (rc *RegCache) Acquire(buf *Buffer, n int) (pinPages, unpinPages int64) {
 		unpinPages += rc.evictLRU()
 	}
 	return pages, unpinPages
+}
+
+// PinCost registers the n-byte region of buf for a transfer, taking
+// the pin reference, and returns the time the posting CPU is charged,
+// at the caller's per-page costs (each stack pays its own pin price).
+// Through a cache (rc non-nil) a hit costs nothing and a miss pays
+// pinPerPage over the region plus unpinPerPage over any region the
+// LRU bound evicted; without one (rc nil) every post pins afresh.
+func (rc *RegCache) PinCost(buf *Buffer, n int, pinPerPage, unpinPerPage int64) sim.Duration {
+	if rc != nil {
+		pinned, evicted := rc.Acquire(buf, n)
+		return sim.Duration(pinned*pinPerPage + evicted*unpinPerPage)
+	}
+	buf.Pin()
+	return sim.Duration(pagesSpanned(buf, n) * pinPerPage)
+}
+
+// UnpinCost releases the region after a transfer and returns its
+// deregistration time: zero through a cache, which defers
+// deregistration to eviction, unpinPerPage over the region otherwise.
+func (rc *RegCache) UnpinCost(buf *Buffer, n int, unpinPerPage int64) sim.Duration {
+	if rc != nil {
+		return 0
+	}
+	buf.Unpin()
+	return sim.Duration(pagesSpanned(buf, n) * unpinPerPage)
+}
+
+// pagesSpanned is the page count of an n-byte region of buf — what a
+// driver actually pins, not the whole buffer (at least one page).
+func pagesSpanned(buf *Buffer, n int) int64 {
+	ps := buf.Mem.P.PageSize
+	return int64((max(n, 1) + ps - 1) / ps)
 }
 
 // evictLRU deregisters the least-recently-used region and reports its

@@ -230,7 +230,7 @@ func (g *CollGroup) post(p *sim.Proc, op proto.CollOp, root int, sbuf *hostmem.B
 	}
 	cost := sim.Duration(s.H.P.MXPostCost)
 	if rbuf != nil {
-		cost += ep.pinCost(rbuf, n)
+		cost += s.reg.PinCost(rbuf, n, s.H.P.MXPinPerPage, s.H.P.UnpinPerPage)
 	}
 	ep.core().RunOn(p, cpu.UserLib, cost)
 	c.posted = true
@@ -804,7 +804,7 @@ func (s *Stack) collOutSend(c *collCall, key collOutKey, m *proto.CollData, payl
 // armCollRtx (re)arms one hop fragment's retransmission timer with
 // the firmware's standard backoff.
 func (s *Stack) armCollRtx(o *collOut) {
-	o.timer = s.H.E.Schedule(s.rtxTimeout(o.m.Dst, o.attempts), func() {
+	o.timer = s.H.E.Schedule(s.peers.RTO(o.m.Dst, o.attempts), func() {
 		if o.acked {
 			return
 		}

@@ -86,27 +86,17 @@ func (s *Stack) fwAck(m *proto.Ack) {
 	if tc == nil {
 		return
 	}
-	acked := tc.applyCumulative(m.AckSeq)
-	if len(acked) > 0 {
-		// The newest never-retransmitted send the ack covers is a clean
-		// round-trip sample (Karn's rule skips retransmitted ones).
-		now := s.H.E.Now()
-		sample := sim.Duration(-1)
+	now := s.H.E.Now()
+	acked, sample := tc.Ack(m.AckSeq, now)
+	if s.Trace != nil {
 		for _, u := range acked {
-			if !u.rtxed {
-				sample = now - u.sentAt
-			}
-			if s.Trace != nil {
-				s.Trace(core.TraceEvent{Kind: "eager", Frag: -1, Seq: u.seq, Lane: s.laneOf(u.seq, 0), Start: u.sentAt, End: now})
-			}
-		}
-		if sample >= 0 {
-			s.observeRTT(m.Dst, sample)
+			s.Trace(core.TraceEvent{Kind: "eager", Frag: -1, Seq: u.Seq, Lane: s.laneOf(u.Seq, 0), Start: u.SentAt, End: now})
 		}
 	}
-	if len(tc.unacked) == 0 {
-		tc.rtx.Stop()
-		tc.rtx = sim.Timer{}
+	// The newest never-retransmitted send the ack covers is a clean
+	// round-trip sample (Karn's rule skips retransmitted ones).
+	if srtt, ok := s.peers.Observe(m.Dst, sample); ok {
+		s.traceCounter("srtt", sim.Time(srtt).Micros())
 	}
 }
 
@@ -125,7 +115,7 @@ func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
 		s.fwAck(&proto.Ack{Src: m.Dst, Dst: m.Src, AckSeq: m.AckSeq})
 	}
 	ch := ep.mxRx(m.Src)
-	if ch.isDup(m.Seq) {
+	if ch.win.IsDup(m.Seq) {
 		s.Stats.DupFrags++
 		// The sender clearly lost our ack: refresh it immediately.
 		s.transmit(m.Src, &proto.Ack{Src: m.Src, Dst: ep.Addr(), AckSeq: ch.win.Edge()}, nil)
@@ -152,7 +142,7 @@ func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
 	a.arrived++
 	if a.arrived == a.cnt {
 		delete(ch.asm, m.Seq)
-		ch.markComplete(m.Seq)
+		ch.win.MarkComplete(m.Seq)
 	}
 	n := len(f.Data)
 	firmwareMatch := sim.Duration(s.H.P.MXFirmwareMatchCost)
@@ -180,17 +170,17 @@ func (s *Stack) fwRndv(m *proto.RndvRequest) {
 	if m.AckSeq != 0 {
 		s.fwAck(&proto.Ack{Src: m.Dst, Dst: m.Src, AckSeq: m.AckSeq})
 	}
-	key := rndvKey{src: m.Src, dst: m.Dst.EP, seq: m.Seq}
-	if st := s.rndvSeen[key]; st != nil {
-		if st.done {
-			s.transmit(m.Src, &proto.RndvAck{Src: ep.Addr(), Dst: m.Src, SenderHandle: st.sender}, nil)
+	key := proto.RndvKey{Src: m.Src, Dst: m.Dst.EP, Seq: m.Seq}
+	if sender, finished, seen := s.rndv.Lookup(key); seen {
+		if finished {
+			s.transmit(m.Src, &proto.RndvAck{Src: ep.Addr(), Dst: m.Src, SenderHandle: sender}, nil)
 		}
 		return // in progress: pull-block timers drive recovery
 	}
-	s.rndvSeen[key] = &rndvState{sender: m.SenderHandle, recvEP: m.Dst.EP}
+	s.rndv.Record(key, m.SenderHandle)
 	// A rendezvous consumes a sequence number on the eager channel so
 	// cumulative acks can advance across it.
-	ep.mxRx(m.Src).markComplete(m.Seq)
+	ep.mxRx(m.Src).win.MarkComplete(m.Seq)
 	s.H.E.Schedule(sim.Duration(s.H.P.MXFirmwareMatchCost), func() {
 		ep.pushEvent(&event{kind: evRndv, src: m.Src, match: m.Match, seq: m.Seq,
 			msgLen: m.MsgLen, handle: m.SenderHandle})
@@ -210,7 +200,9 @@ func (s *Stack) fwPull(lane int, m *proto.Pull) {
 	if !ms.sampled && ms.attempts == 0 {
 		// First pull answers the (never-retransmitted) rendezvous
 		// request: a clean request->pull round trip to the receiver.
-		s.observeRTT(m.Src, s.H.E.Now()-ms.sentAt)
+		if srtt, ok := s.peers.Observe(m.Src, s.H.E.Now()-ms.sentAt); ok {
+			s.traceCounter("srtt", sim.Time(srtt).Micros())
+		}
 	}
 	ms.sampled = true
 	ms.pulled = true
@@ -282,8 +274,8 @@ func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
 				win = lp.aw.Window()
 			}
 			s.Trace(core.TraceEvent{
-				Kind: "pull", Frag: -1, Seq: lp.key.seq, Block: blk.idx,
-				Lane: s.laneOf(lp.key.seq, blk.idx), Window: win,
+				Kind: "pull", Frag: -1, Seq: lp.key.Seq, Block: blk.idx,
+				Lane: s.laneOf(lp.key.Seq, blk.idx), Window: win,
 				Start: blk.sentAt, End: s.H.E.Now(),
 			})
 		}
@@ -291,7 +283,9 @@ func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
 			// A clean block round trip: feed the peer's RTO estimator
 			// and the transfer's window controller.
 			rtt := s.H.E.Now() - blk.sentAt
-			s.observeRTT(lp.src, rtt)
+			if srtt, ok := s.peers.Observe(lp.src, rtt); ok {
+				s.traceCounter("srtt", sim.Time(srtt).Micros())
+			}
 			if lp.aw != nil {
 				lp.aw.OnSample(rtt)
 			}
@@ -304,13 +298,7 @@ func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
 				s.pullNextBlock(lp)
 			}
 		}
-		if s.Trace != nil {
-			now := s.H.E.Now()
-			s.Trace(core.TraceEvent{
-				Kind: "counter", Frag: -1, Start: now, End: now,
-				Name: "pull-queue", Value: float64(len(lp.blocks)),
-			})
-		}
+		s.traceCounter("pull-queue", float64(len(lp.blocks)))
 	}
 	n := len(f.Data)
 	s.H.E.Schedule(s.dmaDelayTo(lp.buf, n), func() {
@@ -330,7 +318,7 @@ func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
 				b.timer.Stop()
 			}
 			delete(s.pulls, lp.handle)
-			s.markRndvDone(lp.key)
+			s.rndv.Finish(lp.key)
 			lp.req.Len = lp.n
 			if s.Trace != nil {
 				win := 2 * s.lanes
@@ -338,7 +326,7 @@ func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
 					win = lp.aw.Window()
 				}
 				s.Trace(core.TraceEvent{
-					Kind: "rndv", Frag: -1, Seq: lp.key.seq,
+					Kind: "rndv", Frag: -1, Seq: lp.key.Seq,
 					Window: win, Start: lp.startedAt, End: s.H.E.Now(),
 				})
 			}

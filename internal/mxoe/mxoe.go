@@ -65,7 +65,7 @@ type Config struct {
 	RetransmitTimeout sim.Duration
 	RetransmitBackoff float64
 	RetransmitMax     sim.Duration
-	// Adaptive enables the firmware's self-tuning tier (adaptive.go):
+	// Adaptive enables the firmware's self-tuning tier (proto.Peers):
 	// per-peer RTT-derived retransmission timeouts (unless an explicit
 	// RetransmitTimeout pins the static base) and AIMD-sized pull
 	// windows. Off, the firmware behaves bit-identically to the fixed
@@ -109,13 +109,9 @@ type Stack struct {
 	endpoints map[int]*Endpoint
 	sends     map[int]*mxSend
 	pulls     map[int]*mxPull
-	// rndvSeen deduplicates retransmitted rendezvous requests;
-	// completed entries are bounded by the rndvDone FIFO (oldest
-	// evicted past proto.RndvDedupWindow) so the map cannot grow
-	// without bound and wrapped sequence numbers cannot hit ancient
-	// entries.
-	rndvSeen   map[rndvKey]*rndvState
-	rndvDone   []rndvKey
+	// rndv deduplicates retransmitted rendezvous requests and
+	// re-acks finished ones.
+	rndv       proto.RndvDedup
 	nextHandle int
 
 	// Firmware collective-group state (coll.go): registered groups by
@@ -124,11 +120,12 @@ type Stack struct {
 	collGroups  map[collKey]*CollGroup
 	collPending map[collKey][]*wire.Frame
 
-	// Adaptive-tier state (adaptive.go): whether timeouts derive from
-	// measured RTTs, and the per-peer estimators feeding them.
-	adaptiveRTO bool
-	rtt         map[proto.Addr]*proto.RTTEstimator
-	pullWin     map[proto.Addr]*proto.AIMDWindow
+	// peers owns the retransmission schedule and, with Config.Adaptive,
+	// the per-peer RTT estimators and AIMD pull windows — the same
+	// internal/proto state machines the host stack runs, here driven
+	// entirely in firmware context. There is no IRQ steering: the
+	// firmware never interrupts the host, so there is nothing to steer.
+	peers proto.Peers
 
 	// Trace, when set, receives transport span and counter events
 	// (pull blocks, collectives, retransmissions, SRTT samples) in the
@@ -156,7 +153,7 @@ func (s *Stack) RegStats() hostmem.RegStats {
 func Attach(h *host.Host, cfg Config) *Stack {
 	// Adaptive RTO applies only when no explicit timeout pins the
 	// static base — decided before the default is filled in.
-	adaptiveRTO := cfg.Adaptive && cfg.RetransmitTimeout == 0
+	pinnedRTO := cfg.RetransmitTimeout != 0
 	if cfg.RingSlots == 0 {
 		cfg.RingSlots = 512
 	}
@@ -176,16 +173,14 @@ func Attach(h *host.Host, cfg Config) *Stack {
 		endpoints: make(map[int]*Endpoint),
 		sends:     make(map[int]*mxSend),
 		pulls:     make(map[int]*mxPull),
-		rndvSeen:  make(map[rndvKey]*rndvState),
+		rndv:      proto.NewRndvDedup(),
 
 		collGroups:  make(map[collKey]*CollGroup),
 		collPending: make(map[collKey][]*wire.Frame),
 
-		adaptiveRTO: adaptiveRTO,
-	}
-	if cfg.Adaptive {
-		s.rtt = make(map[proto.Addr]*proto.RTTEstimator)
-		s.pullWin = make(map[proto.Addr]*proto.AIMDWindow)
+		peers: proto.NewPeers(cfg.Adaptive, pinnedRTO, proto.Schedule{
+			Base: cfg.RetransmitTimeout, Backoff: cfg.RetransmitBackoff, Max: cfg.RetransmitMax,
+		}, h.Lanes()),
 	}
 	if cfg.RegCache {
 		s.reg = hostmem.NewRegCache(cfg.RegCacheEntries)
@@ -199,14 +194,8 @@ func Attach(h *host.Host, cfg Config) *Stack {
 }
 
 // laneOf picks the transmit lane for one unit (eager fragment or pull
-// block) of message seq: fixed round-robin, recomputed identically on
-// retransmission so a lossy lane retries on itself.
-func (s *Stack) laneOf(seq uint32, unit int) int {
-	if s.lanes <= 1 {
-		return 0
-	}
-	return (int(seq) + unit) % s.lanes
-}
+// block) of message seq: the firmware always stripes round-robin.
+func (s *Stack) laneOf(seq uint32, unit int) int { return proto.RoundRobinLane(seq, unit, s.lanes) }
 
 // Endpoint is one MX endpoint (user library + firmware queue state).
 type Endpoint struct {
@@ -334,7 +323,7 @@ type mxPull struct {
 	req          *Request
 	src          proto.Addr
 	senderHandle int
-	key          rndvKey
+	key          proto.RndvKey
 	buf          *hostmem.Buffer
 	off, n       int
 	frags        int
@@ -375,33 +364,6 @@ func (ep *Endpoint) pushEvent(ev *event) {
 	ep.evSig.Broadcast()
 }
 
-// pinCost models MX registration of an n-byte region: per-page cost
-// including the NIC translation-table update, amortized by the
-// registration cache.
-func (ep *Endpoint) pinCost(buf *hostmem.Buffer, n int) sim.Duration {
-	p := ep.S.H.P
-	if ep.S.reg != nil {
-		pinned, evicted := ep.S.reg.Acquire(buf, n)
-		return sim.Duration(pinned*p.MXPinPerPage + evicted*p.UnpinPerPage)
-	}
-	buf.Pin()
-	pages := int64((max(n, 1) + p.PageSize - 1) / p.PageSize)
-	return sim.Duration(pages * p.MXPinPerPage)
-}
-
-func (ep *Endpoint) unpinCost(buf *hostmem.Buffer, n int) sim.Duration {
-	if ep.S.Cfg.RegCache {
-		return 0
-	}
-	buf.Unpin()
-	pages := int64((max(n, 1) + ep.S.H.P.PageSize - 1) / ep.S.H.P.PageSize)
-	return sim.Duration(pages * ep.S.H.P.UnpinPerPage)
-}
-
-func matches(recvMatch, recvMask, msgMatch uint64) bool {
-	return recvMatch&recvMask == msgMatch&recvMask
-}
-
 // transmit hands a control frame to the primary NIC (lane 0).
 func (s *Stack) transmit(dst proto.Addr, msg any, payload []byte) {
 	s.transmitOn(0, dst, msg, payload)
@@ -429,9 +391,11 @@ func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostme
 		return ep.shmSend(p, r)
 	}
 	tc := ep.mxTx(dst)
-	seq := tc.next()
+	seq := tc.Next()
 	if n > 32*1024 {
-		cost := sim.Duration(s.H.P.MXPostCost) + ep.pinCost(buf, n)
+		// MX registration pays more per page than Open-MX: the NIC's
+		// translation table is updated too.
+		cost := sim.Duration(s.H.P.MXPostCost) + s.reg.PinCost(buf, n, s.H.P.MXPinPerPage, s.H.P.UnpinPerPage)
 		ep.core().RunOn(p, cpu.UserLib, cost)
 		s.nextHandle++
 		ms := &mxSend{handle: s.nextHandle, ep: ep, req: r, dst: dst, seq: seq, buf: buf, off: off, n: n, sentAt: s.H.E.Now()}
@@ -445,7 +409,7 @@ func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostme
 	}
 	ep.core().RunOn(p, cpu.UserLib, sim.Duration(s.H.P.MXPostCost))
 	frags := proto.MediumFragsOf(n)
-	u := &mxUnacked{seq: seq, sentAt: s.H.E.Now()}
+	u := &mxUnacked{TxSend: proto.TxSend{Seq: seq, SentAt: s.H.E.Now()}}
 	for f := 0; f < frags; f++ {
 		fo := f * proto.MediumFragSize
 		fl := min(proto.MediumFragSize, n-fo)
@@ -470,7 +434,7 @@ func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostme
 	s.Stats.EagerSent++
 	// The firmware keeps the frame snapshots until the peer's
 	// cumulative ack covers them, retransmitting on timeout.
-	tc.unacked = append(tc.unacked, u)
+	tc.Unacked = append(tc.Unacked, u)
 	ep.armEagerRtx(tc)
 	// Eager sends complete at post time: the NIC has snapshot the data
 	// and firmware-level retransmission guarantees delivery.
@@ -483,7 +447,7 @@ func (ep *Endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *hostmem.Buffer, 
 	ep.core().RunOn(p, cpu.UserLib, sim.Duration(ep.S.H.P.OMXLibPickupCost))
 	r := &Request{ep: ep, isRecv: true, match: match, mask: mask, buf: buf, off: off, n: n}
 	for i, u := range ep.ux {
-		if !matches(match, mask, u.match) {
+		if !proto.Matches(match, mask, u.match) {
 			continue
 		}
 		ep.ux = append(ep.ux[:i], ep.ux[i+1:]...)
@@ -509,7 +473,7 @@ func (ep *Endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *hostmem.Buffer, 
 	var claim *assembly
 	var claimKey asmKey
 	for k, a := range ep.asm {
-		if a.dst == nil && matches(match, mask, a.match) && (claim == nil || claimKeyBefore(k, claimKey)) {
+		if a.dst == nil && proto.Matches(match, mask, a.match) && (claim == nil || claimKeyBefore(k, claimKey)) {
 			claim, claimKey = a, k
 		}
 	}
@@ -580,30 +544,18 @@ func (ep *Endpoint) handleEvent(p *sim.Proc, ev *event) {
 	case evRndv:
 		u := &uxMsg{kind: uxRndv, src: ev.src, match: ev.match, seq: ev.seq, msgLen: ev.msgLen, handle: ev.handle}
 		for i, r := range ep.posted {
-			if matches(r.match, r.mask, ev.match) {
+			if proto.Matches(r.match, r.mask, ev.match) {
 				ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
 				ep.startPull(p, r, u)
 				return
 			}
 		}
 		ep.ux = append(ep.ux, u)
-	case evRecvDone:
-		d := ep.unpinCost(ev.req.buf, ev.req.n)
-		if d > 0 {
-			ep.core().RunOn(p, cpu.UserLib, d)
-		}
-		ev.req.done = true
-	case evSendDone:
-		d := ep.unpinCost(ev.req.buf, ev.req.n)
-		if d > 0 {
-			ep.core().RunOn(p, cpu.UserLib, d)
-		}
-		ev.req.done = true
-	case evCollDone:
+	case evRecvDone, evSendDone, evCollDone:
 		// Barriers post no destination buffer, so there may be
-		// nothing to unregister.
+		// nothing to unregister (deferred with the registration cache).
 		if ev.req.buf != nil {
-			if d := ep.unpinCost(ev.req.buf, ev.req.n); d > 0 {
+			if d := ep.S.reg.UnpinCost(ev.req.buf, ev.req.n, ep.S.H.P.UnpinPerPage); d > 0 {
 				ep.core().RunOn(p, cpu.UserLib, d)
 			}
 		}
@@ -621,7 +573,7 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 	if a == nil {
 		a = &assembly{match: ev.match, msgLen: ev.msgLen, fragCnt: ev.fragCnt}
 		for i, r := range ep.posted {
-			if matches(r.match, r.mask, ev.match) {
+			if proto.Matches(r.match, r.mask, ev.match) {
 				ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
 				a.dst = r
 				break
@@ -680,12 +632,12 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 func (ep *Endpoint) startPull(p *sim.Proc, r *Request, u *uxMsg) {
 	s := ep.S
 	n := min(u.msgLen, r.n)
-	cost := sim.Duration(s.H.P.MXPostCost) + ep.pinCost(r.buf, n)
+	cost := sim.Duration(s.H.P.MXPostCost) + s.reg.PinCost(r.buf, n, s.H.P.MXPinPerPage, s.H.P.UnpinPerPage)
 	ep.core().RunOn(p, cpu.UserLib, cost)
 	s.nextHandle++
 	lp := &mxPull{
 		handle: s.nextHandle, ep: ep, req: r, src: u.src, senderHandle: u.handle,
-		key: rndvKey{src: u.src, dst: ep.ID, seq: u.seq},
+		key: proto.RndvKey{Src: u.src, Dst: ep.ID, Seq: u.seq},
 		buf: r.buf, off: r.off, n: n, frags: proto.FragsOf(n),
 		blocks: make(map[int]*mxBlock),
 	}
@@ -699,8 +651,7 @@ func (ep *Endpoint) startPull(p *sim.Proc, r *Request, u *uxMsg) {
 	// transfer instead starts at the AIMD controller's minimum and
 	// grows as clean block round trips accumulate.
 	want := 2 * s.lanes
-	if s.Cfg.Adaptive {
-		lp.aw = s.pullWindowFor(lp.src)
+	if lp.aw = s.peers.Window(lp.src); lp.aw != nil {
 		want = lp.aw.Window()
 	}
 	for i := 0; i < want; i++ {

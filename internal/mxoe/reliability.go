@@ -1,6 +1,7 @@
 package mxoe
 
 import (
+	"omxsim/internal/core"
 	"omxsim/internal/proto"
 	"omxsim/sim"
 )
@@ -29,47 +30,16 @@ import (
 // acks use the same serial-number semantics as internal/core.
 
 // mxTxChan is the firmware's per-(endpoint, peer) transmit
-// reliability state: unacked eager messages and a retransmission
-// timer with exponential backoff.
-type mxTxChan struct {
-	dst      proto.Addr
-	nextSeq  uint32
-	ackedSeq uint32
-	unacked  []*mxUnacked
-	rtx      sim.Timer
-	attempts int
-}
+// reliability state: the shared sequence, cumulative-ack and
+// retransmission-timer machinery over the unacked eager messages.
+type mxTxChan = proto.TxChan[*mxUnacked]
 
 // mxUnacked snapshots one eager message's frames for retransmission
 // (the NIC keeps the data; the host buffer was released at post).
 type mxUnacked struct {
-	seq   uint32
+	proto.TxSend
 	msgs  []*proto.Eager
 	loads [][]byte
-	// sentAt is the first transmission time (the send -> cumulative-ack
-	// round trip is an RTT sample); rtxed marks a retransmitted
-	// message, never sampled (Karn's rule).
-	sentAt sim.Time
-	rtxed  bool
-}
-
-// next issues the channel's next sequence (skipping the "no ack"
-// sentinel 0 on wraparound; see proto.NextSeq).
-func (tc *mxTxChan) next() uint32 { return proto.NextSeq(&tc.nextSeq) }
-
-// applyCumulative advances the cumulative ack, drops covered messages
-// from the unacked list (returning them, oldest first, so the caller
-// can take RTT samples) and resets the retransmission backoff. Stale
-// or duplicate acks return nil and change nothing.
-func (tc *mxTxChan) applyCumulative(ackSeq uint32) []*mxUnacked {
-	if ackSeq == 0 || !proto.SeqAfter(ackSeq, tc.ackedSeq) {
-		return nil
-	}
-	tc.ackedSeq = ackSeq
-	tc.attempts = 0
-	acked, keep := proto.TrimAcked(tc.unacked, func(u *mxUnacked) uint32 { return u.seq }, ackSeq)
-	tc.unacked = keep
-	return acked
 }
 
 // mxRxChan is the firmware's per-(endpoint, peer) receive window:
@@ -88,18 +58,11 @@ type fwAsm struct {
 	cnt     int
 }
 
-// isDup reports whether seq was already fully received.
-func (c *mxRxChan) isDup(seq uint32) bool { return c.win.IsDup(seq) }
-
-// markComplete records seq as fully received and advances the
-// cumulative edge.
-func (c *mxRxChan) markComplete(seq uint32) { c.win.MarkComplete(seq) }
-
 // mxTx returns (creating on demand) the firmware tx channel to dst.
 func (ep *Endpoint) mxTx(dst proto.Addr) *mxTxChan {
 	tc := ep.tx[dst]
 	if tc == nil {
-		tc = &mxTxChan{dst: dst}
+		tc = &mxTxChan{Dst: dst}
 		ep.tx[dst] = tc
 	}
 	return tc
@@ -119,27 +82,17 @@ func (ep *Endpoint) mxRx(src proto.Addr) *mxRxChan {
 // expiry the firmware re-streams every unacked message from its
 // snapshot; receivers deduplicate.
 func (ep *Endpoint) armEagerRtx(tc *mxTxChan) {
-	if tc.rtx.Pending() || len(tc.unacked) == 0 {
-		return
-	}
 	s := ep.S
-	tc.rtx = s.H.E.Schedule(s.rtxTimeout(tc.dst, tc.attempts), func() {
-		tc.rtx = sim.Timer{}
-		if len(tc.unacked) == 0 {
-			return
-		}
-		tc.attempts++
+	tc.Arm(s.H.E, &s.peers, func(unacked []*mxUnacked) {
 		s.Stats.EagerRetransmits++
-		s.traceRetransmit(tc.unacked[0].seq, -1, 0)
-		for _, u := range tc.unacked {
-			u.rtxed = true // Karn: never sample a retransmitted send
+		s.traceRetransmit(unacked[0].Seq, -1, 0)
+		for _, u := range unacked {
 			for i, m := range u.msgs {
 				// Same lane as the original fragment, so a lossy
 				// lane retries on itself and stays attributable.
-				s.transmitOn(s.laneOf(u.seq, m.FragID), tc.dst, m, u.loads[i])
+				s.transmitOn(s.laneOf(u.Seq, m.FragID), tc.Dst, m, u.loads[i])
 			}
 		}
-		ep.armEagerRtx(tc)
 	})
 }
 
@@ -147,7 +100,7 @@ func (ep *Endpoint) armEagerRtx(tc *mxTxChan) {
 // the last expiry it re-sends the request (the receiver deduplicates
 // and, if the transfer already finished, re-acks).
 func (s *Stack) armRndvRtx(ms *mxSend) {
-	ms.rtx = s.H.E.Schedule(s.rtxTimeout(ms.dst, ms.attempts), func() {
+	ms.rtx = s.H.E.Schedule(s.peers.RTO(ms.dst, ms.attempts), func() {
 		if ms.finished {
 			return
 		}
@@ -189,14 +142,14 @@ type mxBlock struct {
 // expiry the firmware re-requests the block's missing fragments.
 func (s *Stack) armBlockTimer(lp *mxPull, blk *mxBlock) {
 	blk.timer.Stop()
-	blk.timer = s.H.E.Schedule(s.rtxTimeout(lp.src, blk.attempts), func() {
+	blk.timer = s.H.E.Schedule(s.peers.RTO(lp.src, blk.attempts), func() {
 		if lp.done || blk.asm.Done() {
 			return
 		}
 		blk.attempts++
 		blk.rtxed = true
 		s.Stats.PullRetransmits++
-		s.traceRetransmit(lp.key.seq, blk.idx, s.laneOf(lp.key.seq, blk.idx))
+		s.traceRetransmit(lp.key.Seq, blk.idx, s.laneOf(lp.key.Seq, blk.idx))
 		if lp.aw != nil {
 			// The timeout is the loss signal: halve the window once per
 			// loss epoch (the next clean sample reopens the epoch).
@@ -210,7 +163,7 @@ func (s *Stack) armBlockTimer(lp *mxPull, blk *mxBlock) {
 // block — on the block's stripe lane, where the data answers — and
 // arms its retransmission timer.
 func (s *Stack) sendPull(lp *mxPull, blk *mxBlock, mask uint64) {
-	s.transmitOn(s.laneOf(lp.key.seq, blk.idx), lp.src, &proto.Pull{
+	s.transmitOn(s.laneOf(lp.key.Seq, blk.idx), lp.src, &proto.Pull{
 		Src: lp.ep.Addr(), Dst: lp.src,
 		SenderHandle: lp.senderHandle, RecvHandle: lp.handle,
 		Block: blk.idx, FirstFrag: blk.firstFrag, FragCount: blk.asm.Frags,
@@ -219,29 +172,25 @@ func (s *Stack) sendPull(lp *mxPull, blk *mxBlock, mask uint64) {
 	s.armBlockTimer(lp, blk)
 }
 
-// rndvKey identifies a rendezvous for duplicate suppression.
-type rndvKey struct {
-	src proto.Addr
-	dst int
-	seq uint32
-}
-
-// rndvState remembers a handled rendezvous so retransmitted requests
-// do not restart transfers, and finished ones can be re-acked.
-type rndvState struct {
-	sender int
-	recvEP int
-	done   bool
-}
-
-// markRndvDone flags a completed rendezvous for duplicate re-acking
-// and evicts the oldest completed entry beyond the dedup window
-// (mirrors internal/core's markRndvDone).
-func (s *Stack) markRndvDone(key rndvKey) {
-	st := s.rndvSeen[key]
-	if st == nil {
+// traceRetransmit publishes one firmware retransmission as a
+// zero-length span.
+func (s *Stack) traceRetransmit(seq uint32, block, lane int) {
+	if s.Trace == nil {
 		return
 	}
-	st.done = true
-	s.rndvDone = proto.EvictOldest(s.rndvSeen, s.rndvDone, key, proto.RndvDedupWindow)
+	now := s.H.E.Now()
+	s.Trace(core.TraceEvent{
+		Kind: "retransmit", Frag: -1, Start: now, End: now,
+		Seq: seq, Block: block, Lane: lane,
+	})
+}
+
+// traceCounter publishes one named scalar sample (srtt, pull-queue)
+// to the trace stream.
+func (s *Stack) traceCounter(name string, v float64) {
+	if s.Trace == nil {
+		return
+	}
+	now := s.H.E.Now()
+	s.Trace(core.TraceEvent{Kind: "counter", Frag: -1, Start: now, End: now, Name: name, Value: v})
 }

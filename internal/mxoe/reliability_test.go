@@ -6,7 +6,6 @@ import (
 
 	"omxsim/internal/host"
 	"omxsim/internal/hostmem"
-	"omxsim/internal/proto"
 	"omxsim/internal/wire"
 	"omxsim/platform"
 	"omxsim/sim"
@@ -148,49 +147,6 @@ func TestQueueOverrunRecovers(t *testing.T) {
 	exchange(t, pr, 10, 16*1024)
 	if pr.sb.Stats.QueueDrops == 0 {
 		t.Skipf("queue never overran (slots drained fast); stats: %+v", pr.sb.Stats)
-	}
-}
-
-func TestMxTxChanCumulativeAckWraparound(t *testing.T) {
-	tc := &mxTxChan{nextSeq: ^uint32(0) - 1} // two before wrap
-	var seqs []uint32
-	for i := 0; i < 4; i++ {
-		seq := tc.next()
-		if seq == 0 {
-			t.Fatal("sequence 0 issued (reserved for 'no ack')")
-		}
-		seqs = append(seqs, seq)
-		tc.unacked = append(tc.unacked, &mxUnacked{seq: seq})
-	}
-	// seqs = fffffffe, ffffffff, 1, 2. Ack the third: serial order
-	// must treat the pre-wrap seqs as covered too.
-	if acked := tc.applyCumulative(seqs[2]); len(acked) != 3 {
-		t.Fatalf("cumulative ack across wraparound released %d sends, want 3", len(acked))
-	}
-	if len(tc.unacked) != 1 || tc.unacked[0].seq != seqs[3] {
-		t.Fatalf("unacked after wrap ack: %+v", tc.unacked)
-	}
-	// Stale ack from before the wrap must be ignored.
-	if tc.applyCumulative(seqs[0]) != nil {
-		t.Fatal("stale pre-wrap ack advanced the channel")
-	}
-}
-
-func TestMxRxChanWindowWraparound(t *testing.T) {
-	c := &mxRxChan{win: proto.NewWindowAt(^uint32(0) - 1), asm: make(map[uint32]*fwAsm)}
-	c.markComplete(^uint32(0)) // wraps past 0 → edge must land on last pre-wrap seq
-	if c.win.Edge() != ^uint32(0) {
-		t.Fatalf("edge %d, want %d", c.win.Edge(), ^uint32(0))
-	}
-	if c.isDup(1) {
-		t.Fatal("first post-wrap seq wrongly flagged dup")
-	}
-	c.markComplete(1)
-	if c.win.Edge() != 1 {
-		t.Fatalf("edge %d after wrap, want 1 (skipping sentinel 0)", c.win.Edge())
-	}
-	if !c.isDup(^uint32(0)) || !c.isDup(1) {
-		t.Fatal("completed seqs not flagged dup after wrap")
 	}
 }
 

@@ -17,6 +17,12 @@ type Addr struct {
 	EP   int
 }
 
+// Matches implements MX matching: a receive's masked match value must
+// equal the message's masked match value.
+func Matches(recvMatch, recvMask, msgMatch uint64) bool {
+	return recvMatch&recvMask == msgMatch&recvMask
+}
+
 // Message size class boundaries (bytes), matching MX semantics.
 const (
 	// TinyMax: payload rides inline in the completion event.

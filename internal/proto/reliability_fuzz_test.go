@@ -1,13 +1,9 @@
-package core
+package proto
 
-import (
-	"testing"
+import "testing"
 
-	"omxsim/internal/proto"
-)
-
-// FuzzReliabilityWindow drives the reliability window and cumulative
-// ack state machines (reliability.go) with an arbitrary operation
+// FuzzReliabilityWindow drives the shared receive Window and the
+// TxChan cumulative-ack machinery (window.go) with an arbitrary operation
 // program, starting just below the 32-bit sequence wraparound so
 // every run crosses it. Operations: issue a new sequence, deliver an
 // issued sequence (possibly again — a retransmission), apply the
@@ -39,15 +35,11 @@ func FuzzReliabilityWindow(f *testing.F) {
 	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const base = uint32(0xFFFFFF80) // 128 sequences before wrap
-		rx := &rxChan{
-			win:      proto.NewWindowAt(base),
-			asm:      make(map[uint32]*assembly),
-			fragSeen: make(map[uint32]uint64),
-		}
-		tx := &txChan{nextSeq: base, ackedSeq: base}
+		rx := NewWindowAt(base)
+		tx := &TxChan[*TxSend]{nextSeq: base, acked: base}
 
 		delivered := make(map[uint32]bool)
-		ackedReq := make(map[*Request]bool)
+		ackedSend := make(map[*TxSend]bool)
 		var issued []uint32
 		var ackValues []uint32 // cumulative edges seen, for stale replay
 
@@ -55,70 +47,70 @@ func FuzzReliabilityWindow(f *testing.F) {
 			op, arg := data[i]%4, data[i+1]
 			switch op {
 			case 0: // sender issues a new message
-				seq := tx.nextTxSeq()
+				seq := tx.Next()
 				if seq == 0 {
 					t.Fatal("sequence 0 issued")
 				}
-				tx.unacked = append(tx.unacked, &eagerSend{seq: seq, req: &Request{}})
+				tx.Unacked = append(tx.Unacked, &TxSend{Seq: seq})
 				issued = append(issued, seq)
 			case 1: // deliver an issued sequence (dup if re-delivered)
 				if len(issued) == 0 {
 					continue
 				}
 				seq := issued[int(arg)%len(issued)]
-				wasDup := rx.isDup(seq)
+				wasDup := rx.IsDup(seq)
 				if wasDup != delivered[seq] {
-					t.Fatalf("isDup(%d) = %v, model says delivered=%v", seq, wasDup, delivered[seq])
+					t.Fatalf("IsDup(%d) = %v, model says delivered=%v", seq, wasDup, delivered[seq])
 				}
 				if !wasDup {
-					rx.markComplete(seq)
+					rx.MarkComplete(seq)
 					delivered[seq] = true
-					if !rx.isDup(seq) {
+					if !rx.IsDup(seq) {
 						t.Fatalf("seq %d not dup immediately after completion", seq)
 					}
 				}
 			case 2: // receiver acks its current cumulative edge
-				edge := rx.win.Edge()
+				edge := rx.Edge()
 				ackValues = append(ackValues, edge)
-				done := tx.applyCumulative(edge)
-				for _, es := range done {
-					if ackedReq[es.req] {
-						t.Fatal("request completed twice")
+				done, _ := tx.Ack(edge, 0)
+				for _, u := range done {
+					if ackedSend[u] {
+						t.Fatal("send completed twice")
 					}
-					ackedReq[es.req] = true
+					ackedSend[u] = true
 				}
-				if len(done) > 0 && tx.ackedSeq != edge {
-					t.Fatalf("ackedSeq %d after applying edge %d", tx.ackedSeq, edge)
+				if len(done) > 0 && tx.acked != edge {
+					t.Fatalf("acked edge %d after applying edge %d", tx.acked, edge)
 				}
 			case 3: // replay an old ack (stale/duplicate)
 				if len(ackValues) == 0 {
 					continue
 				}
 				old := ackValues[int(arg)%len(ackValues)]
-				if !proto.SeqAfter(old, tx.ackedSeq) {
-					if done := tx.applyCumulative(old); done != nil {
-						t.Fatalf("stale ack %d (edge %d) completed %d sends", old, tx.ackedSeq, len(done))
+				if !SeqAfter(old, tx.acked) {
+					if done, _ := tx.Ack(old, 0); done != nil {
+						t.Fatalf("stale ack %d (edge %d) completed %d sends", old, tx.acked, len(done))
 					}
 				}
 			}
 			// Standing invariants.
-			for _, es := range tx.unacked {
-				if !proto.SeqAfter(es.seq, tx.ackedSeq) {
-					t.Fatalf("unacked seq %d not after acked edge %d", es.seq, tx.ackedSeq)
+			for _, u := range tx.Unacked {
+				if !SeqAfter(u.Seq, tx.acked) {
+					t.Fatalf("unacked seq %d not after acked edge %d", u.Seq, tx.acked)
 				}
 			}
-			if !rx.isDup(rx.win.Edge()) && rx.win.Edge() != base {
-				t.Fatalf("cumulative edge %d not covered by its own window", rx.win.Edge())
+			if !rx.IsDup(rx.Edge()) && rx.Edge() != base {
+				t.Fatalf("cumulative edge %d not covered by its own window", rx.Edge())
 			}
 		}
 		// The cumulative edge must cover only delivered sequences:
 		// walk back from the edge to the base.
-		for s := rx.win.Edge(); s != base; s-- {
+		for s := rx.Edge(); s != base; s-- {
 			if s == 0 {
 				continue // skipped sentinel
 			}
 			if !delivered[s] {
-				t.Fatalf("edge %d covers undelivered seq %d", rx.win.Edge(), s)
+				t.Fatalf("edge %d covers undelivered seq %d", rx.Edge(), s)
 			}
 		}
 	})
