@@ -9,7 +9,7 @@ GO ?= go
 STATICCHECK ?= $(GO) run honnef.co/go/tools/cmd/staticcheck@2024.1.1
 
 .PHONY: all build test test-short race fmt fmt-check vet lint bench bench-ci \
-	golden golden-check benchalloc examples linkcheck ci-fast ci-full
+	golden golden-check benchalloc ci-fast ci-full
 
 all: build
 
@@ -19,6 +19,8 @@ build:
 test:
 	$(GO) test ./...
 
+# Also runs every godoc example (with its Output check) and the
+# markdown link check: neither is gated on testing.Short().
 test-short:
 	$(GO) test -short ./...
 
@@ -90,16 +92,6 @@ benchalloc:
 			if (runs != 2) { print "benchalloc: endpoint-open benchmarks reported " runs + 0 " results, want 2" > "/dev/stderr"; exit 1 } \
 			if (bad != "") { print "benchalloc: endpoint open allocates B/op:" bad ", want <= " max > "/dev/stderr"; exit 1 } }'
 
-# Run every committed godoc example (they are living documentation
-# with verified Output comments).
-examples:
-	$(GO) test -run Example ./...
-
-# Verify every relative link in every committed markdown file
-# resolves (offline; external URLs are out of scope).
-linkcheck:
-	$(GO) test -run TestMarkdownLinks .
-
-ci-fast: build vet lint fmt-check examples linkcheck test-short
+ci-fast: build vet lint fmt-check test-short
 
 ci-full: race benchalloc

@@ -27,6 +27,7 @@ import (
 	"omxsim/imb"
 	"omxsim/metrics"
 	"omxsim/mpi"
+	"omxsim/mxoe"
 	"omxsim/openmx"
 	"omxsim/runner"
 )
@@ -325,7 +326,7 @@ func BenchmarkTimeline(b *testing.B) {
 // style runs as independent imb sweep points.
 func sweepPoints() []imb.Point {
 	stacks := []figures.Stack{
-		{Kind: "mxoe", MXRegCache: true},
+		{Kind: "mxoe", MX: mxoe.Config{RegCache: true}},
 		{Kind: "openmx", OMX: openmx.Config{RegCache: true}},
 		{Kind: "openmx", OMX: openmx.Config{RegCache: true, IOAT: true, IOATShm: true}},
 	}

@@ -27,11 +27,12 @@
 //     hosts, memory and cache copy-rate models, the paper's testbed).
 //   - internal/... — the machine model (cpu, hostmem, memmodel, bus,
 //     nic, wire, ioat) and the protocol stacks (core is the Open-MX
-//     library + driver, internal/mxoe the native firmware baseline,
-//     whose NIC also runs whole collectives — barrier, bcast,
-//     allreduce, scan — as firmware-resident tree state machines with
-//     segment combining, posted as one descriptor and completed as
-//     one event). hostmem keeps the per-buffer memory-hierarchy
+//     driver, internal/mxoe the native firmware baseline, whose NIC
+//     also runs whole collectives — barrier, bcast, allreduce, scan —
+//     as firmware-resident tree state machines with segment combining,
+//     posted as one descriptor and completed as one event; both run
+//     internal/mxlib, the one MX user library: masked matching, eager
+//     reassembly and the Wait/Test/Progress engine). hostmem keeps the per-buffer memory-hierarchy
 //     ledgers — span coverage per L2 domain and L1, the DMA-cold and
 //     DCA-resident states, the NUMA home socket, and the per-stack
 //     LRU registration cache — all over a buffer's logical size, plus

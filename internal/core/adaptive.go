@@ -46,30 +46,8 @@ func (s *Stack) traceCwnd(lp *largePull) {
 	}
 	if w := lp.aw.Window(); w != lp.lastWin {
 		lp.lastWin = w
-		s.traceCounter("cwnd", float64(w))
+		s.Trace.Counter(s.H.E.Now(), "cwnd", float64(w))
 	}
-}
-
-// traceCounter publishes one named scalar sample (cwnd, srtt,
-// pull-queue) to the trace stream.
-func (s *Stack) traceCounter(name string, v float64) {
-	if s.Trace == nil {
-		return
-	}
-	now := s.H.E.Now()
-	s.Trace(TraceEvent{Kind: "counter", Frag: -1, Start: now, End: now, Name: name, Value: v})
-}
-
-// traceRetransmit publishes one retransmission as a zero-length span.
-func (s *Stack) traceRetransmit(seq uint32, block, lane int) {
-	if s.Trace == nil {
-		return
-	}
-	now := s.H.E.Now()
-	s.Trace(TraceEvent{
-		Kind: "retransmit", Frag: -1, Start: now, End: now,
-		Seq: seq, Block: block, Lane: lane,
-	})
 }
 
 // maybeSteer runs the steering decision when the current time has

@@ -1,6 +1,7 @@
 // Package core implements the Open-MX stack — the paper's subject —
 // split, like the real implementation, into a user-space library
-// (matching, eager reassembly, rendezvous decisions, registration
+// (matching, eager reassembly and progress, which it shares with the
+// native stack as internal/mxlib; rendezvous decisions, registration
 // cache) and a kernel driver (send path, receive callback running in
 // the NIC's bottom half, pull protocol for large messages, one-copy
 // local communication, retransmission).
@@ -31,6 +32,7 @@ import (
 	"omxsim/internal/host"
 	"omxsim/internal/hostmem"
 	"omxsim/internal/ioat"
+	"omxsim/internal/mxlib"
 	"omxsim/internal/nic"
 	"omxsim/internal/proto"
 	"omxsim/internal/wire"
@@ -285,6 +287,27 @@ type TraceEvent struct {
 	Value float64
 }
 
+// Tracer receives a stack's trace stream; both stacks' Stack.Trace
+// have this type, and nil (the default) disables tracing.
+type Tracer func(TraceEvent)
+
+// Counter publishes one named scalar sample (cwnd, srtt, pull-queue)
+// taken at now.
+func (t Tracer) Counter(now sim.Time, name string, v float64) {
+	if t != nil {
+		t(TraceEvent{Kind: "counter", Frag: -1, Start: now, End: now, Name: name, Value: v})
+	}
+}
+
+// Retransmit publishes one retransmission at now as a zero-length
+// span: block is the pull block (-1 for an eager message or a
+// rendezvous request), lane the lane it is resent on.
+func (t Tracer) Retransmit(now sim.Time, seq uint32, block, lane int) {
+	if t != nil {
+		t(TraceEvent{Kind: "retransmit", Frag: -1, Start: now, End: now, Seq: seq, Block: block, Lane: lane})
+	}
+}
+
 // Stack is the Open-MX driver+library instance of one host.
 type Stack struct {
 	H   *host.Host
@@ -295,7 +318,7 @@ type Stack struct {
 
 	// Trace, when non-nil, receives receive-path spans (see
 	// TraceEvent). Used by the timeline renderer; nil in normal runs.
-	Trace func(TraceEvent)
+	Trace Tracer
 
 	endpoints map[int]*Endpoint
 
@@ -454,7 +477,7 @@ func (s *Stack) transmitOn(lane int, dst proto.Addr, msg any, payload []byte) {
 type largeSend struct {
 	handle int
 	ep     *Endpoint
-	req    *Request
+	req    *mxlib.Request
 	dst    proto.Addr
 	buf    *hostmem.Buffer
 	off, n int
@@ -483,7 +506,7 @@ type largeSend struct {
 type largePull struct {
 	handle       int
 	ep           *Endpoint
-	req          *Request
+	req          *mxlib.Request
 	src          proto.Addr
 	senderHandle int
 	key          proto.RndvKey

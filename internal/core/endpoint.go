@@ -5,15 +5,18 @@ import (
 
 	"omxsim/internal/cpu"
 	"omxsim/internal/hostmem"
+	"omxsim/internal/mxlib"
 	"omxsim/internal/proto"
 	"omxsim/sim"
 )
 
-// Endpoint is one Open-MX communication endpoint: the user-library
-// state (matching lists, eager reassembly, registration cache) plus
-// the driver-shared event ring. An endpoint is used by a single
-// simulated process, bound to one core.
+// Endpoint is one Open-MX communication endpoint: the shared MX
+// library (matching, eager reassembly, progress) over the
+// driver-shared event ring, plus the driver's per-peer channels. An
+// endpoint is used by a single simulated process, bound to one core.
 type Endpoint struct {
+	*mxlib.Lib[*event]
+
 	S    *Stack
 	ID   int
 	Core int // the core the owning process runs on
@@ -22,43 +25,10 @@ type Endpoint struct {
 	// copies eager payloads into, one 4 kiB slot per fragment.
 	ring *hostmem.Ring
 
-	// Event queue from driver to library.
-	evq   []*event
-	evSig *sim.Signal
-
-	// Library matching state.
-	posted []*Request
-	ux     []*uxMsg
-
 	// Per-peer channels.
 	txChans map[proto.Addr]*txChan
 	rxChans map[proto.Addr]*rxChan
 }
-
-// Request is an in-flight send or receive operation.
-type Request struct {
-	ep     *Endpoint
-	isRecv bool
-	done   bool
-
-	// Completion information (valid once Done).
-	Len        int        // bytes delivered (receives)
-	SenderAddr proto.Addr // source of the matched message (receives)
-	MatchInfo  uint64     // match value of the message
-
-	// Receive posting.
-	match, mask uint64
-	buf         *hostmem.Buffer
-	off, n      int
-
-	// Send bookkeeping.
-	dst proto.Addr
-	seq uint32
-}
-
-// Done reports whether the operation has completed. Completion is
-// driven by the library progress engine (Wait or Progress).
-func (r *Request) Done() bool { return r.done }
 
 type evKind int
 
@@ -73,40 +43,12 @@ const (
 )
 
 type event struct {
-	kind    evKind
-	src     proto.Addr
-	match   uint64
-	seq     uint32
-	msgLen  int
-	fragID  int
-	fragCnt int
-	offset  int
-	slot    int // ring slot holding payload; -1 if none
-	dataLen int
-	inline  []byte // tiny payload carried in the event itself
-	handle  int    // rendezvous sender handle
-	req     *Request
-	reqs    []*Request // eager sends completed by an ack
-	lm      *localMsg
-}
-
-type uxKind int
-
-const (
-	uxEager uxKind = iota
-	uxRndv
-	uxLocal
-)
-
-type uxMsg struct {
-	kind   uxKind
-	src    proto.Addr
-	match  uint64
-	seq    uint32
-	msgLen int
-	tmp    *hostmem.Buffer // assembled eager payload
-	handle int             // rendezvous sender handle
-	lm     *localMsg
+	kind evKind
+	mxlib.Frag
+	handle int // rendezvous sender handle
+	req    *mxlib.Request
+	reqs   []*mxlib.Request // eager sends completed by an ack
+	msg    *mxlib.Message   // intra-node message
 }
 
 // txChan is the reliability state towards one remote endpoint: the
@@ -114,24 +56,20 @@ type uxMsg struct {
 // over the channel's unacked eager sends.
 type txChan = proto.TxChan[*eagerSend]
 
-// eagerSend is one unacked eager message: what a retransmission needs
-// to rebuild its frames from the (still owned) user buffer.
+// eagerSend is one unacked eager message: a retransmission rebuilds
+// its frames from the (still owned) user buffer.
 type eagerSend struct {
 	proto.TxSend
-	req    *Request
-	match  uint64
-	buf    *hostmem.Buffer
-	off, n int
+	req *mxlib.Request
 }
 
 // rxChan is the receive-side state from one remote endpoint:
-// reassembly, cumulative-ack tracking and the deferred-ack timer.
+// cumulative-ack tracking and the deferred-ack timer.
 type rxChan struct {
 	src proto.Addr
 	// win is the shared cumulative completion window (the wire
 	// semantics both stacks must agree on live in internal/proto).
 	win proto.Window
-	asm map[uint32]*assembly
 	// fragSeen is the driver-side per-message fragment bitmap:
 	// retransmitted duplicates of individual fragments are dropped in
 	// the bottom half, before they can consume a ring slot or queue
@@ -140,18 +78,6 @@ type rxChan struct {
 	fragSeen    map[uint32]uint64
 	lastAckSent uint32
 	ackTimer    sim.Timer
-}
-
-type assembly struct {
-	src     proto.Addr
-	seq     uint32
-	match   uint64
-	msgLen  int
-	fragCnt int
-	got     uint64
-	arrived int
-	dst     *Request        // matched posted receive, nil if unexpected
-	tmp     *hostmem.Buffer // unexpected storage
 }
 
 // OpenEndpoint creates endpoint id bound to the given core. Endpoint
@@ -165,10 +91,11 @@ func (s *Stack) OpenEndpoint(id, coreID int) *Endpoint {
 		ID:      id,
 		Core:    coreID,
 		ring:    s.H.Mem.AllocRing(s.Cfg.RingSlots, proto.MediumFragSize),
-		evSig:   sim.NewSignal(),
 		txChans: make(map[proto.Addr]*txChan),
 		rxChans: make(map[proto.Addr]*rxChan),
 	}
+	// The Open-MX library claims a hole-free prefix in one memcpy.
+	ep.Lib = mxlib.New(s.H, coreID, true, ep.copyFrag, ep.handleEvent)
 	s.endpoints[id] = ep
 	return ep
 }
@@ -193,7 +120,6 @@ func (ep *Endpoint) rxChan(src proto.Addr) *rxChan {
 		c = &rxChan{
 			src:      src,
 			win:      proto.NewWindow(),
-			asm:      make(map[uint32]*assembly),
 			fragSeen: make(map[uint32]uint64),
 		}
 		ep.rxChans[src] = c
@@ -225,13 +151,6 @@ func (c *rxChan) markFrag(seq uint32, fragID int) {
 	c.fragSeen[seq] |= uint64(1) << uint(fragID)
 }
 
-// pushEvent appends a driver→library event and wakes waiters. Callers
-// charge the event-write cost themselves.
-func (ep *Endpoint) pushEvent(ev *event) {
-	ep.evq = append(ep.evq, ev)
-	ep.evSig.Broadcast()
-}
-
 // takeAck returns the piggyback cumulative ack for outgoing traffic to
 // dst and disarms any pending explicit-ack timer.
 func (ep *Endpoint) takeAck(dst proto.Addr) uint32 {
@@ -245,136 +164,26 @@ func (ep *Endpoint) takeAck(dst proto.Addr) uint32 {
 	return c.win.Edge()
 }
 
-// ---------------------------------------------------------------------
-// Posting operations (library, called from the owning process).
-// ---------------------------------------------------------------------
-
 // ISend starts a send of n bytes at buf[off:] to dst with the given
 // match value. It returns immediately; completion is observed through
 // Wait/Test. Local destinations take the one-copy shared-memory path;
 // messages above the large threshold use the rendezvous pull protocol;
-// everything else is sent eagerly.
-func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostmem.Buffer, off, n int) *Request {
-	r := &Request{ep: ep, dst: dst, MatchInfo: match, buf: buf, off: off, n: n}
+// everything else is sent eagerly. Receives, Wait, Test and Progress
+// are the shared library's (mxlib.Lib).
+func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostmem.Buffer, off, n int) *mxlib.Request {
+	r := mxlib.NewRequest(match, buf, off, n)
 	switch {
 	case dst.Host == ep.S.H.Name:
-		ep.localSend(p, r)
+		ep.localSend(p, dst, r)
 	case n > ep.S.Cfg.LargeThreshold:
-		ep.rndvSend(p, r)
+		ep.rndvSend(p, dst, r)
 	default:
-		ep.eagerSendOp(p, r)
+		ep.eagerSendOp(p, dst, r)
 	}
 	return r
 }
 
-// IRecv posts a receive of up to n bytes into buf[off:] for messages
-// whose match value equals match under mask. Unexpected messages that
-// already arrived are matched (and consumed) first, in arrival order.
-func (ep *Endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *hostmem.Buffer, off, n int) *Request {
-	ep.core().RunOn(p, cpu.UserLib, sim.Duration(ep.S.H.P.OMXLibPickupCost))
-	r := &Request{ep: ep, isRecv: true, match: match, mask: mask, buf: buf, off: off, n: n}
-
-	// Unexpected queue first (arrival order).
-	for i, u := range ep.ux {
-		if !proto.Matches(match, mask, u.match) {
-			continue
-		}
-		ep.ux = append(ep.ux[:i], ep.ux[i+1:]...)
-		switch u.kind {
-		case uxEager:
-			n := min(u.msgLen, r.n)
-			if n > 0 {
-				d := ep.S.H.Copy.Memcpy(r.buf, r.off, u.tmp, 0, n, ep.Core)
-				ep.core().RunOn(p, cpu.UserLib, d)
-			}
-			ep.completeRecv(r, u.src, u.match, n)
-		case uxRndv:
-			ep.startPull(p, r, u)
-		case uxLocal:
-			ep.localPull(p, r, u.lm)
-		}
-		return r
-	}
-
-	// In-progress unexpected assemblies may be claimed by a new post.
-	// Candidate selection must not depend on Go map iteration order:
-	// with several matching partial messages (wildcard masks under
-	// reordering), the lowest (source, sequence) wins, keeping runs
-	// bit-reproducible.
-	var claim *assembly
-	for _, c := range ep.rxChans {
-		for _, a := range c.asm {
-			if a.dst == nil && proto.Matches(match, mask, a.match) && (claim == nil || claimBefore(a, claim)) {
-				claim = a
-			}
-		}
-	}
-	if claim != nil {
-		claim.dst = r
-		if claim.arrived > 0 && claim.tmp != nil {
-			ep.claimArrived(p, r, claim.got, claim.arrived, claim.msgLen, claim.tmp)
-		}
-		claim.tmp = nil
-		return r
-	}
-
-	ep.posted = append(ep.posted, r)
-	return r
-}
-
-// claimBefore orders claim candidates deterministically (see
-// proto.ClaimBefore).
-func claimBefore(a, b *assembly) bool {
-	return proto.ClaimBefore(a.src, a.seq, b.src, b.seq)
-}
-
-// claimArrived copies the already-arrived fragments of a claimed
-// in-progress assembly from its temporary storage into the posted
-// receive, following proto.CopyPlan: a contiguous prefix (the
-// loss-free case) moves as one memcpy; with holes — retransmission or
-// cross-NIC skew still in flight — each arrived fragment is copied at
-// its own offset, because a prefix copy would silently drop data that
-// arrived beyond the first hole and will never be retransmitted.
-func (ep *Endpoint) claimArrived(p *sim.Proc, r *Request, got uint64, arrived, msgLen int, tmp *hostmem.Buffer) {
-	limit := min(msgLen, r.n)
-	for _, run := range proto.CopyPlan(got, arrived, proto.MediumFragSize, limit, true) {
-		d := ep.S.H.Copy.Memcpy(r.buf, r.off+run.Off, tmp, run.Off, run.N, ep.Core)
-		ep.core().RunOn(p, cpu.UserLib, d)
-	}
-}
-
-// Wait blocks p until r completes, running the library progress engine
-// (event processing, matching, eager copies) on the endpoint's core.
-func (ep *Endpoint) Wait(p *sim.Proc, r *Request) {
-	for !r.done {
-		if !ep.Progress(p) {
-			p.WaitFor(ep.evSig, func() bool { return len(ep.evq) > 0 })
-		}
-	}
-}
-
-// Test reports whether r completed, after a zero-cost progress pass
-// over already-queued events.
-func (ep *Endpoint) Test(p *sim.Proc, r *Request) bool {
-	ep.Progress(p)
-	return r.done
-}
-
-// Progress drains the endpoint's event queue, charging library CPU
-// time per event. It reports whether any event was processed.
-func (ep *Endpoint) Progress(p *sim.Proc) bool {
-	if len(ep.evq) == 0 {
-		return false
-	}
-	for len(ep.evq) > 0 {
-		ev := ep.evq[0]
-		ep.evq = ep.evq[1:]
-		ep.core().RunOn(p, cpu.UserLib, sim.Duration(ep.S.H.P.OMXLibPickupCost))
-		ep.handleEvent(p, ev)
-	}
-	return true
-}
-
+// handleEvent is the library's dispatch of one driver event.
 func (ep *Endpoint) handleEvent(p *sim.Proc, ev *event) {
 	switch ev.kind {
 	case evEagerFrag:
@@ -383,27 +192,29 @@ func (ep *Endpoint) handleEvent(p *sim.Proc, ev *event) {
 		ep.handleRndv(p, ev)
 	case evLargeDone, evSendDone:
 		// Deregistration is deferred with the registration cache.
-		if d := ep.S.reg.UnpinCost(ev.req.buf, ev.req.n, ep.S.H.P.UnpinPerPage); d > 0 {
+		if d := ep.S.reg.UnpinCost(ev.req.Buf, ev.req.N, ep.S.H.P.UnpinPerPage); d > 0 {
 			ep.core().RunOn(p, cpu.DriverCmd, d)
 		}
-		ev.req.done = true
+		ev.req.Finish()
 	case evEagerAcked:
 		for _, r := range ev.reqs {
-			r.done = true
+			r.Finish()
 		}
 	case evLocalMsg:
-		ep.handleLocalMsg(p, ev)
+		ep.Arrive(p, ev.msg)
 	case evLocalDone:
-		ev.req.done = true
+		ev.req.Finish()
 	}
 }
 
-// handleEagerFrag is the library half of eager reception: dedup,
-// match, copy out of the receive ring (the second copy of the paper's
-// Figure 2), reassemble, complete.
+// handleEagerFrag is the Open-MX half of eager reception around the
+// shared library's match, copy out of the receive ring (the second
+// copy of the paper's Figure 2), reassembly and completion: duplicate
+// suppression before it, ring-slot release and the deferred ack
+// after it.
 func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
-	c := ep.rxChan(ev.src)
-	if c.win.IsDup(ev.seq) {
+	c := ep.rxChan(ev.Src)
+	if c.win.IsDup(ev.Seq) {
 		// Duplicate of a fully received message that slipped past the
 		// driver check (completed between BH and library processing):
 		// drop payload, make sure an ack goes out.
@@ -412,112 +223,52 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 		ep.forceAck(c)
 		return
 	}
-	a := c.asm[ev.seq]
-	if a == nil {
-		a = &assembly{src: ev.src, seq: ev.seq, match: ev.match, msgLen: ev.msgLen, fragCnt: ev.fragCnt}
-		// Match against posted receives at first sight of the message.
-		for i, r := range ep.posted {
-			if proto.Matches(r.match, r.mask, ev.match) {
-				ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
-				a.dst = r
-				break
-			}
-		}
-		if a.dst == nil && ev.msgLen > 0 {
-			a.tmp = ep.S.H.Alloc(ev.msgLen)
-		}
-		c.asm[ev.seq] = a
-	}
-	bit := uint64(1) << ev.fragID
-	if a.got&bit != 0 {
-		ep.releaseSlot(ev)
+	fresh, complete := ep.EagerFrag(p, &ev.Frag)
+	ep.releaseSlot(ev)
+	if !fresh {
 		ep.S.Stats.DupFrags++
 		return
 	}
-	a.got |= bit
-	a.arrived++
-
-	// Copy the payload to its destination (user buffer if matched,
-	// temporary storage otherwise).
-	dstBuf, dstOff := a.tmp, ev.offset
-	limit := ev.msgLen
-	if a.dst != nil {
-		dstBuf, dstOff = a.dst.buf, a.dst.off+ev.offset
-		limit = min(ev.msgLen, a.dst.n)
-	}
-	n := ev.dataLen
-	if ev.offset+n > limit {
-		n = limit - ev.offset // truncated receive
-	}
-	if n > 0 && dstBuf != nil {
-		var d sim.Duration
-		if ev.inline != nil {
-			copy(dstBuf.Data[dstOff:dstOff+n], ev.inline[:n])
-			d = ep.S.H.Copy.RawTime(n, ep.S.H.P.MemcpyL2Rate)
-			dstBuf.Touch(ep.Core, n)
-		} else {
-			d = ep.S.H.Copy.Memcpy(dstBuf, dstOff, ep.ring.Buf, ep.ring.Off(ev.slot), n, ep.Core)
-		}
-		ep.core().RunOn(p, cpu.UserLib, d)
-	}
-	ep.releaseSlot(ev)
-
-	if a.arrived == a.fragCnt {
-		delete(c.asm, ev.seq)
-		c.markComplete(ev.seq)
-		if a.dst != nil {
-			ep.completeRecv(a.dst, a.src, a.match, min(a.msgLen, a.dst.n))
-		} else {
-			ep.ux = append(ep.ux, &uxMsg{kind: uxEager, src: a.src, match: a.match, seq: a.seq, msgLen: a.msgLen, tmp: a.tmp})
-		}
+	if complete {
+		c.markComplete(ev.Seq)
 		ep.scheduleAck(c)
 	}
 }
 
-func (ep *Endpoint) releaseSlot(ev *event) {
-	if ev.slot >= 0 {
-		ep.ring.Put(ev.slot)
+// copyFrag copies an eager fragment's payload to its destination:
+// out of the receive ring, or for a tiny message out of the event
+// itself.
+func (ep *Endpoint) copyFrag(f *mxlib.Frag, dst *hostmem.Buffer, off, n int) sim.Duration {
+	if f.Inline == nil {
+		return ep.S.H.Copy.Memcpy(dst, off, ep.ring.Buf, ep.ring.Off(f.Slot), n, ep.Core)
 	}
+	copy(dst.Data[off:off+n], f.Inline[:n])
+	d := ep.S.H.Copy.RawTime(n, ep.S.H.P.MemcpyL2Rate)
+	dst.Touch(ep.Core, n)
+	return d
 }
 
-func (ep *Endpoint) completeRecv(r *Request, src proto.Addr, match uint64, n int) {
-	r.Len = n
-	r.SenderAddr = src
-	r.MatchInfo = match
-	r.done = true
+func (ep *Endpoint) releaseSlot(ev *event) {
+	if ev.Slot >= 0 {
+		ep.ring.Put(ev.Slot)
+	}
 }
 
 // handleRndv processes a rendezvous request event: record it in the
 // channel sequence space (it consumes a sequence number for
-// reliability), then match or queue it.
+// reliability), then match or queue it; a matched request starts the
+// pull.
 func (ep *Endpoint) handleRndv(p *sim.Proc, ev *event) {
-	c := ep.rxChan(ev.src)
-	if c.win.IsDup(ev.seq) {
+	c := ep.rxChan(ev.Src)
+	if c.win.IsDup(ev.Seq) {
 		return // duplicate
 	}
-	c.markComplete(ev.seq)
+	c.markComplete(ev.Seq)
 	ep.scheduleAck(c)
-	u := &uxMsg{kind: uxRndv, src: ev.src, match: ev.match, seq: ev.seq, msgLen: ev.msgLen, handle: ev.handle}
-	for i, r := range ep.posted {
-		if proto.Matches(r.match, r.mask, ev.match) {
-			ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
-			ep.startPull(p, r, u)
-			return
-		}
-	}
-	ep.ux = append(ep.ux, u)
-}
-
-// handleLocalMsg matches an intra-node message or queues it.
-func (ep *Endpoint) handleLocalMsg(p *sim.Proc, ev *event) {
-	for i, r := range ep.posted {
-		if proto.Matches(r.match, r.mask, ev.lm.match) {
-			ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
-			ep.localPull(p, r, ev.lm)
-			return
-		}
-	}
-	ep.ux = append(ep.ux, &uxMsg{kind: uxLocal, src: ev.lm.srcAddr, match: ev.lm.match, msgLen: ev.lm.n, lm: ev.lm})
+	ep.Arrive(p, &mxlib.Message{
+		Src: ev.Src, Match: ev.Match, Len: ev.MsgLen,
+		Start: func(p *sim.Proc, r *mxlib.Request) { ep.startPull(p, r, ev) },
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -527,25 +278,23 @@ func (ep *Endpoint) handleLocalMsg(p *sim.Proc, ev *event) {
 // eagerSendOp sends tiny/small/medium messages: a system call, then
 // per-fragment zero-copy skbuff builds in the driver. Completion comes
 // with the (possibly piggybacked) cumulative ack.
-func (ep *Endpoint) eagerSendOp(p *sim.Proc, r *Request) {
+func (ep *Endpoint) eagerSendOp(p *sim.Proc, dst proto.Addr, r *mxlib.Request) {
 	s := ep.S
-	tc := ep.txChan(r.dst)
-	r.seq = tc.Next()
-	frags := proto.MediumFragsOf(r.n)
+	tc := ep.txChan(dst)
+	seq := tc.Next()
+	frags := proto.MediumFragsOf(r.N)
 	cost := sim.Duration(s.H.P.SyscallCost + int64(frags)*s.H.P.OMXTxBuildCost)
 	ep.core().RunOn(p, cpu.DriverCmd, cost)
-	tc.Unacked = append(tc.Unacked, &eagerSend{
-		TxSend: proto.TxSend{Seq: r.seq, SentAt: p.Now()},
-		req:    r, match: r.MatchInfo, buf: r.buf, off: r.off, n: r.n,
-	})
-	s.transmitEager(ep, tc.Dst, r.seq, r.MatchInfo, r.buf, r.off, r.n)
+	tc.Unacked = append(tc.Unacked, &eagerSend{TxSend: proto.TxSend{Seq: seq, SentAt: p.Now()}, req: r})
+	s.transmitEager(ep, tc.Dst, seq, r)
 	s.Stats.EagerSent++
 	ep.armEagerRtx(tc)
 }
 
 // transmitEager builds and transmits the fragment frames of one eager
 // message (also used by retransmission).
-func (s *Stack) transmitEager(ep *Endpoint, dst proto.Addr, seq uint32, match uint64, buf *hostmem.Buffer, off, n int) {
+func (s *Stack) transmitEager(ep *Endpoint, dst proto.Addr, seq uint32, r *mxlib.Request) {
+	n := r.N
 	frags := proto.MediumFragsOf(n)
 	ack := ep.takeAck(dst)
 	for f := 0; f < frags; f++ {
@@ -557,13 +306,13 @@ func (s *Stack) transmitEager(ep *Endpoint, dst proto.Addr, seq uint32, match ui
 		var payload []byte
 		if fl > 0 {
 			payload = make([]byte, fl)
-			copy(payload, buf.Data[off+fo:off+fo+fl])
+			copy(payload, r.Buf.Data[r.Off+fo:r.Off+fo+fl])
 		}
 		// Fragments stripe across NIC lanes (reassembly is bitmap-based
 		// and hole-aware, so cross-lane skew cannot corrupt anything).
 		s.transmitOn(s.laneOf(seq, f), dst, &proto.Eager{
 			Src: ep.Addr(), Dst: dst,
-			Match: match, Seq: seq, MsgLen: n,
+			Match: r.Match(), Seq: seq, MsgLen: n,
 			FragID: f, FragCount: frags, Offset: fo,
 			AckSeq: ack,
 		}, payload)
@@ -577,7 +326,7 @@ func (ep *Endpoint) armEagerRtx(tc *txChan) {
 	s := ep.S
 	tc.Arm(s.H.E, &s.peers, func(unacked []*eagerSend) {
 		s.Stats.EagerRetransmits++
-		s.traceRetransmit(unacked[0].Seq, -1, 0)
+		s.Trace.Retransmit(s.H.E.Now(), unacked[0].Seq, -1, 0)
 		// Rebuild and resend every unacked message; receivers dedup.
 		// One timer, one softirq context: the rebuild runs on the
 		// primary NIC's interrupt core even though the fragments then
@@ -585,13 +334,13 @@ func (ep *Endpoint) armEagerRtx(tc *txChan) {
 		// fragment's lane).
 		var build int64
 		for _, es := range unacked {
-			build += int64(proto.MediumFragsOf(es.n)) * s.H.P.OMXTxBuildCost
+			build += int64(proto.MediumFragsOf(es.req.N)) * s.H.P.OMXTxBuildCost
 		}
 		irq := s.H.Sys.Core(s.H.NIC.IRQCore)
 		unacked = append([]*eagerSend(nil), unacked...)
 		irq.Exec(cpu.BHProc, sim.Duration(build), func() {
 			for _, es := range unacked {
-				s.transmitEager(ep, tc.Dst, es.Seq, es.match, es.buf, es.off, es.n)
+				s.transmitEager(ep, tc.Dst, es.Seq, es.req)
 			}
 		})
 	})
@@ -600,15 +349,15 @@ func (ep *Endpoint) armEagerRtx(tc *txChan) {
 // rndvSend starts a large-message send: pin the buffer (registration
 // cache permitting), register a sender handle, transmit the
 // rendezvous request.
-func (ep *Endpoint) rndvSend(p *sim.Proc, r *Request) {
+func (ep *Endpoint) rndvSend(p *sim.Proc, dst proto.Addr, r *mxlib.Request) {
 	s := ep.S
-	r.seq = ep.txChan(r.dst).Next()
-	pin := s.reg.PinCost(r.buf, r.n, s.H.P.PinPerPage, s.H.P.UnpinPerPage)
+	seq := ep.txChan(dst).Next()
+	pin := s.reg.PinCost(r.Buf, r.N, s.H.P.PinPerPage, s.H.P.UnpinPerPage)
 	cost := sim.Duration(s.H.P.SyscallCost+s.H.P.OMXTxBuildCost) + pin
 	ep.core().RunOn(p, cpu.DriverCmd, cost)
 
 	s.nextHandle++
-	ls := &largeSend{handle: s.nextHandle, ep: ep, req: r, dst: r.dst, buf: r.buf, off: r.off, n: r.n, seq: r.seq, sentAt: p.Now()}
+	ls := &largeSend{handle: s.nextHandle, ep: ep, req: r, dst: dst, buf: r.Buf, off: r.Off, n: r.N, seq: seq, sentAt: p.Now()}
 	s.sends[ls.handle] = ls
 	s.transmitRndv(ls)
 	s.Stats.RndvSent++
@@ -618,7 +367,7 @@ func (ep *Endpoint) rndvSend(p *sim.Proc, r *Request) {
 func (s *Stack) transmitRndv(ls *largeSend) {
 	s.transmitOn(s.laneOf(ls.seq, 0), ls.dst, &proto.RndvRequest{
 		Src: ls.ep.Addr(), Dst: ls.dst,
-		Match: ls.req.MatchInfo, Seq: ls.seq, MsgLen: ls.n,
+		Match: ls.req.Match(), Seq: ls.seq, MsgLen: ls.n,
 		SenderHandle: ls.handle,
 		AckSeq:       ls.ep.takeAck(ls.dst),
 	}, nil)
@@ -636,7 +385,7 @@ func (s *Stack) armRndvRtx(ls *largeSend) {
 			// The request (or everything since) was lost: resend it.
 			ls.attempts++
 			s.Stats.RndvRetransmits++
-			s.traceRetransmit(ls.seq, -1, s.laneOf(ls.seq, 0))
+			s.Trace.Retransmit(s.H.E.Now(), ls.seq, -1, s.laneOf(ls.seq, 0))
 			s.transmitRndv(ls)
 		} else {
 			ls.attempts = 0
@@ -647,20 +396,20 @@ func (s *Stack) armRndvRtx(ls *largeSend) {
 }
 
 // startPull is the receiver-side system call that launches the pull
-// protocol once a rendezvous matched: pin the destination, create the
-// pull state, request the first pipelined blocks.
-func (ep *Endpoint) startPull(p *sim.Proc, r *Request, u *uxMsg) {
+// protocol once rendezvous request ev matched r: pin the destination,
+// create the pull state, request the first pipelined blocks.
+func (ep *Endpoint) startPull(p *sim.Proc, r *mxlib.Request, ev *event) {
 	s := ep.S
-	n := min(u.msgLen, r.n)
-	cost := sim.Duration(s.H.P.SyscallCost) + s.reg.PinCost(r.buf, n, s.H.P.PinPerPage, s.H.P.UnpinPerPage)
+	n := r.Len()
+	cost := sim.Duration(s.H.P.SyscallCost) + s.reg.PinCost(r.Buf, n, s.H.P.PinPerPage, s.H.P.UnpinPerPage)
 	ep.core().RunOn(p, cpu.DriverCmd, cost)
 
 	s.nextHandle++
 	lp := &largePull{
 		handle: s.nextHandle, ep: ep, req: r,
-		src: u.src, senderHandle: u.handle,
-		key: proto.RndvKey{Src: u.src, Dst: ep.ID, Seq: u.seq},
-		buf: r.buf, off: r.off, n: n,
+		src: ev.Src, senderHandle: ev.handle,
+		key: proto.RndvKey{Src: ev.Src, Dst: ep.ID, Seq: ev.Seq},
+		buf: r.Buf, off: r.Off, n: n,
 		frags:  proto.FragsOf(n),
 		blocks: make(map[int]*pullBlock),
 	}
@@ -680,10 +429,8 @@ func (ep *Endpoint) startPull(p *sim.Proc, r *Request, u *uxMsg) {
 		lp.lastWin = lp.aw.Window()
 	}
 	lp.startedAt = s.H.E.Now()
-	r.MatchInfo = u.match
-	r.SenderAddr = u.src
 	s.pulls[lp.handle] = lp
-	s.rndv.Record(lp.key, u.handle)
+	s.rndv.Record(lp.key, ev.handle)
 
 	for b := 0; b < s.pullWindow(lp) && lp.nextBlock < lp.numBlocks; b++ {
 		s.sendPullBlock(lp, lp.nextBlock, 0)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"omxsim/internal/cpu"
-	"omxsim/internal/hostmem"
+	"omxsim/internal/mxlib"
 	"omxsim/internal/proto"
 	"omxsim/sim"
 )
@@ -22,39 +22,30 @@ import (
 // blocking I/OAT copy: submit page descriptors, then busy-poll the
 // engine, since the hardware cannot raise a completion interrupt.
 
-// localMsg is a pending intra-node send registered with the driver.
-type localMsg struct {
-	srcEP   *Endpoint
-	srcAddr proto.Addr
-	match   uint64
-	buf     *hostmem.Buffer
-	off, n  int
-	sendReq *Request
-}
-
-// localSend registers the message with the driver and reports it to
-// the destination endpoint's event queue. The send completes when the
+// localSend reports the message to the destination endpoint's event
+// queue through the driver; the data stays in the sender's pages
+// until the receiver matches it. The send completes when the
 // receiver's one-copy finishes.
-func (ep *Endpoint) localSend(p *sim.Proc, r *Request) {
+func (ep *Endpoint) localSend(p *sim.Proc, dst proto.Addr, r *mxlib.Request) {
 	s := ep.S
-	dst := s.endpoints[r.dst.EP]
-	if dst == nil {
-		panic(fmt.Sprintf("openmx: local send to unopened endpoint %d on %s", r.dst.EP, s.H.Name))
+	to := s.endpoints[dst.EP]
+	if to == nil {
+		panic(fmt.Sprintf("openmx: local send to unopened endpoint %d on %s", dst.EP, s.H.Name))
 	}
 	ep.core().RunOn(p, cpu.DriverCmd, sim.Duration(s.H.P.SyscallCost+s.H.P.OMXEventCost))
-	lm := &localMsg{
-		srcEP: ep, srcAddr: ep.Addr(), match: r.MatchInfo,
-		buf: r.buf, off: r.off, n: r.n, sendReq: r,
-	}
 	s.Stats.LocalMsgs++
-	dst.pushEvent(&event{kind: evLocalMsg, lm: lm})
+	to.Push(&event{kind: evLocalMsg, msg: &mxlib.Message{
+		Src: ep.Addr(), Match: r.Match(), Len: r.N,
+		Start: func(p *sim.Proc, recv *mxlib.Request) { to.localPull(p, recv, ep, r) },
+	}})
 }
 
-// localPull performs the one-copy transfer in the receiving process's
-// system-call context, then completes both sides.
-func (ep *Endpoint) localPull(p *sim.Proc, r *Request, lm *localMsg) {
+// localPull performs the one-copy transfer of send from src's pages
+// into the matched receive r in the receiving process's system-call
+// context, then completes both sides.
+func (ep *Endpoint) localPull(p *sim.Proc, r *mxlib.Request, src *Endpoint, send *mxlib.Request) {
 	s := ep.S
-	n := min(lm.n, r.n)
+	n := r.Len()
 	ep.core().RunOn(p, cpu.DriverCmd, sim.Duration(s.H.P.SyscallCost))
 
 	if s.Cfg.IOATShm && n >= s.Cfg.ShmIOATThreshold {
@@ -63,14 +54,14 @@ func (ep *Endpoint) localPull(p *sim.Proc, r *Request, lm *localMsg) {
 		// ("we rely on busy polling of the I/OAT hardware with no
 		// overlap for now", Section IV-C); Config.StripeChannels and
 		// Config.PredictiveSleep enable its Section V/VI extensions.
-		chunks := pageChunks(r.off, n, s.H.P.PageSize)
+		chunks := pageChunks(r.Off, n, s.H.P.PageSize)
 		// The whole local transfer happens inside one system call, so
 		// its submission cost is accounted as driver time (the
 		// cpu.IOATSubmit ledger tracks bottom-half submissions, whose
 		// softirq priority must not apply in process context).
 		ep.core().RunOn(p, cpu.DriverCmd, s.H.IOAT.SubmitCost(len(chunks)))
 		k := max(1, s.Cfg.StripeChannels)
-		seqs := s.stripedSubmit(r.buf, r.off, lm.buf, lm.off, chunks, k)
+		seqs := s.stripedSubmit(r.Buf, r.Off, send.Buf, send.Off, chunks, k)
 		s.Stats.LocalIOATCopies++
 		var predicted sim.Duration
 		if s.Cfg.PredictiveSleep {
@@ -84,12 +75,12 @@ func (ep *Endpoint) localPull(p *sim.Proc, r *Request, lm *localMsg) {
 		}
 		ep.waitStriped(p, cpu.DriverCmd, seqs, predicted)
 	} else if n > 0 {
-		d := s.H.Copy.Memcpy(r.buf, r.off, lm.buf, lm.off, n, ep.Core)
+		d := s.H.Copy.Memcpy(r.Buf, r.Off, send.Buf, send.Off, n, ep.Core)
 		ep.core().RunOn(p, cpu.DriverCmd, d)
 	}
 
-	ep.completeRecv(r, lm.srcAddr, lm.match, n)
+	r.Finish()
 	// Completion event back to the sender's endpoint.
 	ep.core().RunOn(p, cpu.DriverCmd, sim.Duration(s.H.P.OMXEventCost))
-	lm.srcEP.pushEvent(&event{kind: evLocalDone, req: lm.sendReq})
+	src.Push(&event{kind: evLocalDone, req: send})
 }

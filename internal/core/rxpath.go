@@ -3,6 +3,7 @@ package core
 import (
 	"omxsim/internal/cpu"
 	"omxsim/internal/ioat"
+	"omxsim/internal/mxlib"
 	"omxsim/internal/nic"
 	"omxsim/internal/proto"
 	"omxsim/platform"
@@ -77,7 +78,7 @@ func (s *Stack) applyAck(p *sim.Proc, core *cpu.Core, epID int, from proto.Addr,
 	if len(acked) == 0 {
 		return
 	}
-	done := make([]*Request, 0, len(acked))
+	done := make([]*mxlib.Request, 0, len(acked))
 	for _, es := range acked {
 		done = append(done, es.req)
 		if s.Trace != nil {
@@ -87,10 +88,10 @@ func (s *Stack) applyAck(p *sim.Proc, core *cpu.Core, epID int, from proto.Addr,
 	// The newest never-retransmitted send the ack covers is a clean
 	// round-trip sample (Karn's rule skips retransmitted ones).
 	if srtt, ok := s.peers.Observe(from, sample); ok {
-		s.traceCounter("srtt", sim.Time(srtt).Micros())
+		s.Trace.Counter(now, "srtt", sim.Time(srtt).Micros())
 	}
 	s.chargeEvent(p, core)
-	ep.pushEvent(&event{kind: evEagerAcked, reqs: done})
+	ep.Push(&event{kind: evEagerAcked, reqs: done})
 }
 
 // rxEager handles a tiny/small/medium fragment: copy it into the
@@ -123,18 +124,17 @@ func (s *Stack) rxEager(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.Eage
 		return
 	}
 	n := len(skb.Buf.Data)
-	ev := &event{
-		kind: evEagerFrag, src: m.Src, match: m.Match, seq: m.Seq,
-		msgLen: m.MsgLen, fragID: m.FragID, fragCnt: m.FragCount,
-		offset: m.Offset, slot: -1, dataLen: n,
-	}
+	ev := &event{kind: evEagerFrag, Frag: mxlib.Frag{
+		Src: m.Src, Match: m.Match, Seq: m.Seq, MsgLen: m.MsgLen,
+		ID: m.FragID, Count: m.FragCount, Offset: m.Offset, Len: n, Slot: -1,
+	}}
 	switch {
 	case m.MsgLen <= proto.TinyMax && m.FragCount == 1:
 		// Tiny: payload rides inline in the event; the copy is the
 		// event write itself.
 		ch.markFrag(m.Seq, m.FragID)
 		if n > 0 {
-			ev.inline = append([]byte(nil), skb.Buf.Data...)
+			ev.Inline = append([]byte(nil), skb.Buf.Data...)
 			if !s.Cfg.SkipBHCopy {
 				core.RunOn(p, cpu.BHCopy, s.H.Copy.RawTime(n, bhTinyRate(s)))
 			}
@@ -146,7 +146,7 @@ func (s *Stack) rxEager(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.Eage
 			return // dropped (and not recorded); retransmission recovers
 		}
 		ch.markFrag(m.Seq, m.FragID)
-		ev.slot = slot
+		ev.Slot = slot
 		off := ep.ring.Off(slot)
 		switch {
 		case s.Cfg.SkipBHCopy:
@@ -163,7 +163,7 @@ func (s *Stack) rxEager(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.Eage
 		}
 	}
 	s.chargeEvent(p, core)
-	ep.pushEvent(ev)
+	ep.Push(ev)
 }
 
 // bhTinyRate is the effective tiny-copy rate in the bottom half
@@ -212,9 +212,10 @@ func (s *Stack) rxRndv(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.RndvR
 	}
 	s.rndv.Record(key, m.SenderHandle)
 	s.chargeEvent(p, core)
-	ep.pushEvent(&event{
-		kind: evRndv, src: m.Src, match: m.Match, seq: m.Seq,
-		msgLen: m.MsgLen, handle: m.SenderHandle,
+	ep.Push(&event{
+		kind:   evRndv,
+		Frag:   mxlib.Frag{Src: m.Src, Match: m.Match, Seq: m.Seq, MsgLen: m.MsgLen},
+		handle: m.SenderHandle,
 	})
 }
 
@@ -234,7 +235,7 @@ func (s *Stack) rxPull(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *p
 		// First pull answers the (never-retransmitted) rendezvous
 		// request: a clean request->pull round trip to the receiver.
 		if srtt, ok := s.peers.Observe(m.Src, s.H.E.Now()-ls.sentAt); ok {
-			s.traceCounter("srtt", sim.Time(srtt).Micros())
+			s.Trace.Counter(s.H.E.Now(), "srtt", sim.Time(srtt).Micros())
 		}
 	}
 	ls.sampled = true
@@ -368,7 +369,7 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 			// off here, on round-trip inflation).
 			rtt := p.Now() - blk.sentAt
 			if srtt, ok := s.peers.Observe(lp.src, rtt); ok {
-				s.traceCounter("srtt", sim.Time(srtt).Micros())
+				s.Trace.Counter(s.H.E.Now(), "srtt", sim.Time(srtt).Micros())
 			}
 			if lp.aw != nil {
 				lp.aw.OnSample(rtt)
@@ -395,7 +396,7 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 			lp.nextBlock++
 			s.cleanup(p, core, lp)
 		}
-		s.traceCounter("pull-queue", float64(len(lp.blocks)))
+		s.Trace.Counter(s.H.E.Now(), "pull-queue", float64(len(lp.blocks)))
 	}
 
 	if last {
@@ -441,7 +442,6 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 		lp.done = true
 		delete(s.pulls, lp.handle)
 		s.rndv.Finish(lp.key)
-		lp.req.Len = lp.n
 		if s.Trace != nil {
 			s.Trace(TraceEvent{
 				Kind: "rndv", Frag: -1, Seq: lp.key.Seq,
@@ -453,7 +453,7 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 		if s.Trace != nil {
 			s.Trace(TraceEvent{Kind: "notify", Frag: m.FragID, Start: tn, End: p.Now()})
 		}
-		lp.ep.pushEvent(&event{kind: evLargeDone, req: lp.req})
+		lp.ep.Push(&event{kind: evLargeDone, req: lp.req})
 		s.transmit(lp.src, &proto.RndvAck{Src: lp.ep.Addr(), Dst: lp.src, SenderHandle: lp.senderHandle}, nil)
 	}
 }
@@ -495,7 +495,7 @@ func (s *Stack) rxRndvAck(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.Rn
 	ls.rtx.Stop()
 	delete(s.sends, ls.handle)
 	s.chargeEvent(p, core)
-	ls.ep.pushEvent(&event{kind: evSendDone, req: ls.req})
+	ls.ep.Push(&event{kind: evSendDone, req: ls.req})
 }
 
 // sendPullBlock transmits one pull request. mask == 0 means "all
@@ -540,7 +540,7 @@ func (s *Stack) armBlockTimer(lp *largePull, blk *pullBlock) {
 		blk.attempts++
 		blk.rtxed = true
 		s.Stats.PullRetransmits++
-		s.traceRetransmit(lp.key.Seq, blk.idx, s.laneOf(lp.key.Seq, blk.idx))
+		s.Trace.Retransmit(s.H.E.Now(), lp.key.Seq, blk.idx, s.laneOf(lp.key.Seq, blk.idx))
 		if lp.aw != nil {
 			// The timeout is the loss signal: halve the window once per
 			// loss epoch (the next clean sample reopens the epoch).

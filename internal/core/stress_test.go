@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"omxsim/internal/hostmem"
+	"omxsim/internal/mxlib"
 	"omxsim/internal/wire"
 	"omxsim/sim"
 )
@@ -57,7 +58,7 @@ func propertyStressRun(t *testing.T, seed int64) bool {
 	}
 	doneA, doneB := false, false
 	pr.e.Go("rankA", func(p *sim.Proc) {
-		var reqs []*Request
+		var reqs []*mxlib.Request
 		for i := 0; i < count; i++ {
 			reqs = append(reqs, pr.epA.ISend(p, pr.epB.Addr(), uint64(i), srcAB[i], 0, sizesAB[i]))
 			reqs = append(reqs, pr.epA.IRecv(p, uint64(100+i), ^uint64(0), dstBA[i], 0, sizesBA[i]))
@@ -68,7 +69,7 @@ func propertyStressRun(t *testing.T, seed int64) bool {
 		doneA = true
 	})
 	pr.e.Go("rankB", func(p *sim.Proc) {
-		var reqs []*Request
+		var reqs []*mxlib.Request
 		for i := 0; i < count; i++ {
 			reqs = append(reqs, pr.epB.ISend(p, pr.epA.Addr(), uint64(100+i), srcBA[i], 0, sizesBA[i]))
 			reqs = append(reqs, pr.epB.IRecv(p, uint64(i), ^uint64(0), dstAB[i], 0, sizesAB[i]))
@@ -96,17 +97,11 @@ func propertyStressRun(t *testing.T, seed int64) bool {
 		return false
 	}
 	if pr.epA.ring.InUse() != 0 || pr.epB.ring.InUse() != 0 {
-		t.Logf("seed %d: leaked ring slots A=%d/%d B=%d/%d evqA=%d evqB=%d uxA=%d uxB=%d",
+		t.Logf("seed %d: leaked ring slots A=%d/%d B=%d/%d; library A: %v; B: %v",
 			seed, pr.epA.ring.InUse(), pr.sa.Cfg.RingSlots, pr.epB.ring.InUse(), pr.sb.Cfg.RingSlots,
-			len(pr.epA.evq), len(pr.epB.evq), len(pr.epA.ux), len(pr.epB.ux))
+			pr.epA.Lib, pr.epB.Lib)
 		for _, c := range pr.epB.rxChans {
-			t.Logf("  B rxChan complete=%d pending=%d asm=%d", c.win.Edge(), c.win.Pending(), len(c.asm))
-		}
-		for _, ev := range pr.epB.evq {
-			t.Logf("  B evq: kind=%d seq=%d slot=%d frag=%d", ev.kind, ev.seq, ev.slot, ev.fragID)
-		}
-		for _, ev := range pr.epA.evq {
-			t.Logf("  A evq: kind=%d seq=%d slot=%d frag=%d", ev.kind, ev.seq, ev.slot, ev.fragID)
+			t.Logf("  B rxChan complete=%d pending=%d", c.win.Edge(), c.win.Pending())
 		}
 		return false
 	}

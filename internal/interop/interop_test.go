@@ -12,6 +12,7 @@ import (
 	"omxsim/internal/core"
 	"omxsim/internal/host"
 	"omxsim/internal/hostmem"
+	"omxsim/internal/mxlib"
 	"omxsim/internal/mxoe"
 	"omxsim/internal/proto"
 	"omxsim/internal/wire"
@@ -59,7 +60,7 @@ func omxToMX(t *testing.T, fx *fixture, n int) {
 	fx.e.Go("mx-recv", func(p *sim.Proc) {
 		r := fx.em.IRecv(p, 4, ^uint64(0), dst, 0, n)
 		fx.em.Wait(p, r)
-		done = r.Len == n
+		done = r.Len() == n
 	})
 	fx.e.Go("omx-send", func(p *sim.Proc) {
 		r := fx.eo.ISend(p, proto.Addr{Host: "mx-node", EP: 0}, 4, src, 0, n)
@@ -84,7 +85,7 @@ func mxToOMX(t *testing.T, fx *fixture, n int) {
 	fx.e.Go("omx-recv", func(p *sim.Proc) {
 		r := fx.eo.IRecv(p, 5, ^uint64(0), dst, 0, n)
 		fx.eo.Wait(p, r)
-		done = r.Len == n
+		done = r.Len() == n
 	})
 	fx.e.Go("mx-send", func(p *sim.Proc) {
 		r := fx.em.ISend(p, proto.Addr{Host: "omx-node", EP: 0}, 5, src, 0, n)
@@ -234,7 +235,7 @@ func TestInteropHeavyLossBothDirections(t *testing.T) {
 	}
 	doneO, doneM := 0, 0
 	fx.e.Go("omx", func(p *sim.Proc) {
-		var rs []*core.Request
+		var rs []*mxlib.Request
 		for i := 0; i < count; i++ {
 			rs = append(rs, fx.eo.ISend(p, proto.Addr{Host: "mx-node", EP: 0}, uint64(i), srcO[i], 0, n))
 			rs = append(rs, fx.eo.IRecv(p, uint64(100+i), ^uint64(0), dstO[i], 0, n))
@@ -245,7 +246,7 @@ func TestInteropHeavyLossBothDirections(t *testing.T) {
 		}
 	})
 	fx.e.Go("mx", func(p *sim.Proc) {
-		var rs []*mxoe.Request
+		var rs []*mxlib.Request
 		for i := 0; i < count; i++ {
 			rs = append(rs, fx.em.ISend(p, proto.Addr{Host: "omx-node", EP: 0}, uint64(100+i), srcM[i], 0, n))
 			rs = append(rs, fx.em.IRecv(p, uint64(i), ^uint64(0), dstM[i], 0, n))

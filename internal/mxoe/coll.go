@@ -8,6 +8,7 @@ import (
 	"omxsim/internal/core"
 	"omxsim/internal/cpu"
 	"omxsim/internal/hostmem"
+	"omxsim/internal/mxlib"
 	"omxsim/internal/proto"
 	"omxsim/internal/wire"
 	"omxsim/sim"
@@ -159,7 +160,7 @@ func collGroupID(members []proto.Addr) uint64 {
 
 // PostBarrier posts a firmware barrier descriptor: the NIC joins the
 // binomial fan-in to member 0 and completes on the fan-out release.
-func (g *CollGroup) PostBarrier(p *sim.Proc) *Request {
+func (g *CollGroup) PostBarrier(p *sim.Proc) *mxlib.Request {
 	return g.post(p, proto.CollBarrier, 0, nil, 0, nil, 0, 0)
 }
 
@@ -167,7 +168,7 @@ func (g *CollGroup) PostBarrier(p *sim.Proc) *Request {
 // is the source (snapshot at post, eager-style: the send completes
 // immediately); elsewhere it is the pinned destination the tree data
 // is DMA-deposited into.
-func (g *CollGroup) PostBcast(p *sim.Proc, root int, buf *hostmem.Buffer, off, n int) *Request {
+func (g *CollGroup) PostBcast(p *sim.Proc, root int, buf *hostmem.Buffer, off, n int) *mxlib.Request {
 	if g.me == root {
 		return g.post(p, proto.CollBcast, root, buf, off, nil, 0, n)
 	}
@@ -177,7 +178,7 @@ func (g *CollGroup) PostBcast(p *sim.Proc, root int, buf *hostmem.Buffer, off, n
 // PostAllreduce posts a firmware allreduce descriptor: contributions
 // climb the binomial tree, combined segment by segment in firmware,
 // and the result fans back out into every rank's pinned rbuf.
-func (g *CollGroup) PostAllreduce(p *sim.Proc, sbuf, rbuf *hostmem.Buffer, n int) *Request {
+func (g *CollGroup) PostAllreduce(p *sim.Proc, sbuf, rbuf *hostmem.Buffer, n int) *mxlib.Request {
 	return g.post(p, proto.CollAllreduce, 0, sbuf, 0, rbuf, 0, n)
 }
 
@@ -185,13 +186,13 @@ func (g *CollGroup) PostAllreduce(p *sim.Proc, sbuf, rbuf *hostmem.Buffer, n int
 // result is the sum of contributions 0..i, pipelined down the rank
 // chain (each NIC adds its contribution to the incoming prefix and
 // forwards its own result).
-func (g *CollGroup) PostScan(p *sim.Proc, sbuf, rbuf *hostmem.Buffer, n int) *Request {
+func (g *CollGroup) PostScan(p *sim.Proc, sbuf, rbuf *hostmem.Buffer, n int) *mxlib.Request {
 	return g.post(p, proto.CollScan, 0, sbuf, 0, rbuf, 0, n)
 }
 
 // post is the one descriptor-post path: the host pays MXPostCost (plus
 // pinning the destination), the firmware does everything else.
-func (g *CollGroup) post(p *sim.Proc, op proto.CollOp, root int, sbuf *hostmem.Buffer, soff int, rbuf *hostmem.Buffer, roff, n int) *Request {
+func (g *CollGroup) post(p *sim.Proc, op proto.CollOp, root int, sbuf *hostmem.Buffer, soff int, rbuf *hostmem.Buffer, roff, n int) *mxlib.Request {
 	ep := g.ep
 	s := ep.S
 	if n < 0 || n > CollMaxBytes {
@@ -207,7 +208,7 @@ func (g *CollGroup) post(p *sim.Proc, op proto.CollOp, root int, sbuf *hostmem.B
 	case proto.CollScan:
 		s.Stats.Coll.Scans++
 	}
-	req := &Request{ep: ep, isRecv: rbuf != nil, buf: rbuf, off: roff, n: n}
+	req := mxlib.NewRequest(0, rbuf, roff, n)
 	if len(g.members) == 1 {
 		// One-rank group: complete locally (the result is the local
 		// contribution).
@@ -215,8 +216,9 @@ func (g *CollGroup) post(p *sim.Proc, op proto.CollOp, root int, sbuf *hostmem.B
 		if rbuf != nil && sbuf != nil && n > 0 {
 			copy(rbuf.Data[roff:roff+n], sbuf.Data[soff:soff+n])
 		}
-		req.buf = nil // nothing was pinned
-		req.Len, req.done = n, true
+		req.Buf = nil // nothing was pinned
+		req.SetLen(n)
+		req.Finish()
 		return req
 	}
 	g.nextSeq++
@@ -248,7 +250,7 @@ func (g *CollGroup) post(p *sim.Proc, op proto.CollOp, root int, sbuf *hostmem.B
 		if g.me == root {
 			// Root sends complete at post; the firmware fans the
 			// snapshot out on its own.
-			req.done = true
+			req.Finish()
 			c.haveDown, c.forwarded = true, true
 			s.collFanout(c, c.contrib)
 			c.complete = true
@@ -281,7 +283,7 @@ type collCall struct {
 	frags int
 
 	posted  bool
-	req     *Request
+	req     *mxlib.Request
 	rbuf    *hostmem.Buffer
 	roff    int
 	contrib []byte
@@ -703,9 +705,9 @@ func (s *Stack) collFinish(c *collCall) {
 			Name: c.op.String(), Start: c.startedAt, End: s.H.E.Now(),
 		})
 	}
-	if c.req != nil && !c.req.done {
-		c.req.Len = c.n
-		c.g.ep.pushEvent(&event{kind: evCollDone, req: c.req})
+	if c.req != nil && !c.req.Done() {
+		c.req.SetLen(c.n)
+		c.g.ep.Push(&event{kind: evCollDone, req: c.req})
 	}
 	s.collMaybeRetire(c)
 }
@@ -810,7 +812,7 @@ func (s *Stack) armCollRtx(o *collOut) {
 		}
 		o.attempts++
 		s.Stats.Coll.Retransmits++
-		s.traceRetransmit(o.m.Seq, o.m.FragID, o.lane)
+		s.Trace.Retransmit(s.H.E.Now(), o.m.Seq, o.m.FragID, o.lane)
 		s.collEmit(o.lane, o.m.Dst, o.m, o.payload)
 		s.armCollRtx(o)
 	})

@@ -3,6 +3,7 @@ package mxoe
 import (
 	"omxsim/internal/core"
 	"omxsim/internal/hostmem"
+	"omxsim/internal/mxlib"
 	"omxsim/internal/proto"
 	"omxsim/internal/wire"
 	"omxsim/sim"
@@ -96,7 +97,7 @@ func (s *Stack) fwAck(m *proto.Ack) {
 	// The newest never-retransmitted send the ack covers is a clean
 	// round-trip sample (Karn's rule skips retransmitted ones).
 	if srtt, ok := s.peers.Observe(m.Dst, sample); ok {
-		s.traceCounter("srtt", sim.Time(srtt).Micros())
+		s.Trace.Counter(now, "srtt", sim.Time(srtt).Micros())
 	}
 }
 
@@ -123,11 +124,11 @@ func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
 	}
 	a := ch.asm[m.Seq]
 	if a == nil {
-		a = &fwAsm{cnt: m.FragCount}
+		r := proto.NewReassembly(m.FragCount)
+		a = &r
 		ch.asm[m.Seq] = a
 	}
-	bit := uint64(1) << uint(m.FragID)
-	if a.got&bit != 0 {
+	if a.Got&(uint64(1)<<uint(m.FragID)) != 0 {
 		s.Stats.DupFrags++
 		return
 	}
@@ -138,9 +139,8 @@ func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
 		s.Stats.QueueDrops++
 		return
 	}
-	a.got |= bit
-	a.arrived++
-	if a.arrived == a.cnt {
+	a.Mark(m.FragID)
+	if a.Done() {
 		delete(ch.asm, m.Seq)
 		ch.win.MarkComplete(m.Seq)
 	}
@@ -150,11 +150,10 @@ func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
 		off := ep.ring.Off(slot)
 		copy(ep.ring.Buf.Data[off:off+n], f.Data)
 		s.deposit(ep, ep.ring.Buf, n)
-		ep.pushEvent(&event{
-			kind: evEagerFrag, src: m.Src, match: m.Match, seq: m.Seq,
-			msgLen: m.MsgLen, fragID: m.FragID, fragCnt: m.FragCount,
-			offset: m.Offset, slot: slot, dataLen: n,
-		})
+		ep.Push(&event{kind: evEagerFrag, Frag: mxlib.Frag{
+			Src: m.Src, Match: m.Match, Seq: m.Seq, MsgLen: m.MsgLen,
+			ID: m.FragID, Count: m.FragCount, Offset: m.Offset, Len: n, Slot: slot,
+		}})
 	})
 }
 
@@ -182,8 +181,11 @@ func (s *Stack) fwRndv(m *proto.RndvRequest) {
 	// cumulative acks can advance across it.
 	ep.mxRx(m.Src).win.MarkComplete(m.Seq)
 	s.H.E.Schedule(sim.Duration(s.H.P.MXFirmwareMatchCost), func() {
-		ep.pushEvent(&event{kind: evRndv, src: m.Src, match: m.Match, seq: m.Seq,
-			msgLen: m.MsgLen, handle: m.SenderHandle})
+		ep.Push(&event{
+			kind:   evRndv,
+			Frag:   mxlib.Frag{Src: m.Src, Match: m.Match, Seq: m.Seq, MsgLen: m.MsgLen},
+			handle: m.SenderHandle,
+		})
 	})
 }
 
@@ -201,7 +203,7 @@ func (s *Stack) fwPull(lane int, m *proto.Pull) {
 		// First pull answers the (never-retransmitted) rendezvous
 		// request: a clean request->pull round trip to the receiver.
 		if srtt, ok := s.peers.Observe(m.Src, s.H.E.Now()-ms.sentAt); ok {
-			s.traceCounter("srtt", sim.Time(srtt).Micros())
+			s.Trace.Counter(s.H.E.Now(), "srtt", sim.Time(srtt).Micros())
 		}
 	}
 	ms.sampled = true
@@ -284,7 +286,7 @@ func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
 			// and the transfer's window controller.
 			rtt := s.H.E.Now() - blk.sentAt
 			if srtt, ok := s.peers.Observe(lp.src, rtt); ok {
-				s.traceCounter("srtt", sim.Time(srtt).Micros())
+				s.Trace.Counter(s.H.E.Now(), "srtt", sim.Time(srtt).Micros())
 			}
 			if lp.aw != nil {
 				lp.aw.OnSample(rtt)
@@ -298,7 +300,7 @@ func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
 				s.pullNextBlock(lp)
 			}
 		}
-		s.traceCounter("pull-queue", float64(len(lp.blocks)))
+		s.Trace.Counter(s.H.E.Now(), "pull-queue", float64(len(lp.blocks)))
 	}
 	n := len(f.Data)
 	s.H.E.Schedule(s.dmaDelayTo(lp.buf, n), func() {
@@ -319,7 +321,6 @@ func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
 			}
 			delete(s.pulls, lp.handle)
 			s.rndv.Finish(lp.key)
-			lp.req.Len = lp.n
 			if s.Trace != nil {
 				win := 2 * s.lanes
 				if lp.aw != nil {
@@ -330,7 +331,7 @@ func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
 					Window: win, Start: lp.startedAt, End: s.H.E.Now(),
 				})
 			}
-			lp.ep.pushEvent(&event{kind: evRecvDone, req: lp.req})
+			lp.ep.Push(&event{kind: evRecvDone, req: lp.req})
 			s.transmit(lp.src, &proto.RndvAck{Src: lp.ep.Addr(), Dst: lp.src, SenderHandle: lp.senderHandle}, nil)
 		}
 	})
@@ -359,5 +360,5 @@ func (s *Stack) fwRndvAck(m *proto.RndvAck) {
 	ms.finished = true
 	ms.rtx.Stop()
 	delete(s.sends, ms.handle)
-	ms.ep.pushEvent(&event{kind: evSendDone, req: ms.req})
+	ms.ep.Push(&event{kind: evSendDone, req: ms.req})
 }

@@ -37,6 +37,7 @@ import (
 	"omxsim/internal/cpu"
 	"omxsim/internal/host"
 	"omxsim/internal/hostmem"
+	"omxsim/internal/mxlib"
 	"omxsim/internal/proto"
 	"omxsim/internal/wire"
 	"omxsim/sim"
@@ -130,7 +131,7 @@ type Stack struct {
 	// Trace, when set, receives transport span and counter events
 	// (pull blocks, collectives, retransmissions, SRTT samples) in the
 	// host stack's TraceEvent format, for the Chrome trace exporter.
-	Trace func(core.TraceEvent)
+	Trace core.Tracer
 
 	// reg is the per-stack registration cache (Config.RegCache); nil
 	// when disabled.
@@ -197,44 +198,22 @@ func Attach(h *host.Host, cfg Config) *Stack {
 // block) of message seq: the firmware always stripes round-robin.
 func (s *Stack) laneOf(seq uint32, unit int) int { return proto.RoundRobinLane(seq, unit, s.lanes) }
 
-// Endpoint is one MX endpoint (user library + firmware queue state).
+// Endpoint is one MX endpoint: the shared MX library (matching,
+// eager reassembly, progress) over the firmware's event queue, plus
+// the firmware's per-peer reliability state.
 type Endpoint struct {
+	*mxlib.Lib[*event]
+
 	S    *Stack
 	ID   int
 	Core int
 
 	ring *hostmem.Ring // eager receive queue, one 4 kiB slot per fragment
 
-	evq   []*event
-	evSig *sim.Signal
-
-	posted []*Request
-	ux     []*uxMsg
-	asm    map[asmKey]*assembly
-
 	// Firmware reliability state, per peer.
 	tx map[proto.Addr]*mxTxChan
 	rx map[proto.Addr]*mxRxChan
 }
-
-// Request is an in-flight MX operation.
-type Request struct {
-	ep     *Endpoint
-	isRecv bool
-	done   bool
-
-	Len        int
-	SenderAddr proto.Addr
-	MatchInfo  uint64
-
-	match, mask uint64
-	buf         *hostmem.Buffer
-	off, n      int
-	dst         proto.Addr
-}
-
-// Done reports completion.
-func (r *Request) Done() bool { return r.done }
 
 type evKind int
 
@@ -248,57 +227,17 @@ const (
 )
 
 type event struct {
-	kind    evKind
-	src     proto.Addr
-	match   uint64
-	seq     uint32
-	msgLen  int
-	fragID  int
-	fragCnt int
-	offset  int
-	slot    int
-	dataLen int
-	handle  int
-	req     *Request
-	seg     *hostmem.Buffer // shared-memory payload segment
-}
-
-type uxKind int
-
-const (
-	uxEager uxKind = iota
-	uxRndv
-)
-
-type uxMsg struct {
-	kind   uxKind
-	src    proto.Addr
-	match  uint64
-	seq    uint32
-	msgLen int
-	tmp    *hostmem.Buffer
-	handle int
-}
-
-type asmKey struct {
-	src proto.Addr
-	seq uint32
-}
-
-type assembly struct {
-	match   uint64
-	msgLen  int
-	fragCnt int
-	got     uint64
-	arrived int
-	dst     *Request
-	tmp     *hostmem.Buffer
+	kind evKind
+	mxlib.Frag
+	handle int // rendezvous sender handle
+	req    *mxlib.Request
+	msg    *mxlib.Message // shared-memory message
 }
 
 type mxSend struct {
 	handle int
 	ep     *Endpoint
-	req    *Request
+	req    *mxlib.Request
 	dst    proto.Addr
 	seq    uint32
 	buf    *hostmem.Buffer
@@ -320,7 +259,7 @@ type mxSend struct {
 type mxPull struct {
 	handle       int
 	ep           *Endpoint
-	req          *Request
+	req          *mxlib.Request
 	src          proto.Addr
 	senderHandle int
 	key          proto.RndvKey
@@ -344,12 +283,12 @@ func (s *Stack) OpenEndpoint(id, coreID int) *Endpoint {
 	}
 	ep := &Endpoint{
 		S: s, ID: id, Core: coreID,
-		ring:  s.H.Mem.AllocRing(s.Cfg.RingSlots, proto.MediumFragSize),
-		evSig: sim.NewSignal(),
-		asm:   make(map[asmKey]*assembly),
-		tx:    make(map[proto.Addr]*mxTxChan),
-		rx:    make(map[proto.Addr]*mxRxChan),
+		ring: s.H.Mem.AllocRing(s.Cfg.RingSlots, proto.MediumFragSize),
+		tx:   make(map[proto.Addr]*mxTxChan),
+		rx:   make(map[proto.Addr]*mxRxChan),
 	}
+	// The MX library claims arrived fragments one copy each.
+	ep.Lib = mxlib.New(s.H, coreID, false, ep.copyFrag, ep.handleEvent)
 	s.endpoints[id] = ep
 	return ep
 }
@@ -358,11 +297,6 @@ func (s *Stack) OpenEndpoint(id, coreID int) *Endpoint {
 func (ep *Endpoint) Addr() proto.Addr { return proto.Addr{Host: ep.S.H.Name, EP: ep.ID} }
 
 func (ep *Endpoint) core() *cpu.Core { return ep.S.H.Sys.Core(ep.Core) }
-
-func (ep *Endpoint) pushEvent(ev *event) {
-	ep.evq = append(ep.evq, ev)
-	ep.evSig.Broadcast()
-}
 
 // transmit hands a control frame to the primary NIC (lane 0).
 func (s *Stack) transmit(dst proto.Addr, msg any, payload []byte) {
@@ -383,12 +317,13 @@ func (s *Stack) transmitOn(lane int, dst proto.Addr, msg any, payload []byte) {
 
 // ISend posts a send: an OS-bypass NIC command. Intra-node messages
 // take the library's shared-memory channel; eager messages stream
-// immediately; large ones pin and send a rendezvous request.
-func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostmem.Buffer, off, n int) *Request {
+// immediately; large ones pin and send a rendezvous request. Receives, Wait, Test
+// and Progress are the shared library's (mxlib.Lib).
+func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostmem.Buffer, off, n int) *mxlib.Request {
 	s := ep.S
-	r := &Request{ep: ep, dst: dst, MatchInfo: match, buf: buf, off: off, n: n}
+	r := mxlib.NewRequest(match, buf, off, n)
 	if dst.Host == s.H.Name {
-		return ep.shmSend(p, r)
+		return ep.shmSend(p, dst, r)
 	}
 	tc := ep.mxTx(dst)
 	seq := tc.Next()
@@ -438,103 +373,8 @@ func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostme
 	ep.armEagerRtx(tc)
 	// Eager sends complete at post time: the NIC has snapshot the data
 	// and firmware-level retransmission guarantees delivery.
-	r.done = true
+	r.Finish()
 	return r
-}
-
-// IRecv posts a receive into the library matching state.
-func (ep *Endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *hostmem.Buffer, off, n int) *Request {
-	ep.core().RunOn(p, cpu.UserLib, sim.Duration(ep.S.H.P.OMXLibPickupCost))
-	r := &Request{ep: ep, isRecv: true, match: match, mask: mask, buf: buf, off: off, n: n}
-	for i, u := range ep.ux {
-		if !proto.Matches(match, mask, u.match) {
-			continue
-		}
-		ep.ux = append(ep.ux[:i], ep.ux[i+1:]...)
-		switch u.kind {
-		case uxEager:
-			cnt := min(u.msgLen, n)
-			if cnt > 0 {
-				d := ep.S.H.Copy.Memcpy(buf, off, u.tmp, 0, cnt, ep.Core)
-				ep.core().RunOn(p, cpu.UserLib, d)
-			}
-			r.Len, r.SenderAddr, r.MatchInfo, r.done = cnt, u.src, u.match, true
-		case uxRndv:
-			ep.startPull(p, r, u)
-		}
-		return r
-	}
-	// In-progress unexpected assemblies may be claimed by a new post.
-	// Without this, a message whose first fragment arrived before the
-	// post — possible whenever retransmission delays a fragment —
-	// would complete into the unexpected queue and never be matched.
-	// Selection is by lowest (source, sequence), never by map order,
-	// so runs stay bit-reproducible.
-	var claim *assembly
-	var claimKey asmKey
-	for k, a := range ep.asm {
-		if a.dst == nil && proto.Matches(match, mask, a.match) && (claim == nil || claimKeyBefore(k, claimKey)) {
-			claim, claimKey = a, k
-		}
-	}
-	if claim != nil {
-		claim.dst = r
-		if claim.arrived > 0 && claim.tmp != nil {
-			ep.claimArrived(p, r, claim.got, claim.msgLen, claim.tmp)
-		}
-		claim.tmp = nil
-		return r
-	}
-	ep.posted = append(ep.posted, r)
-	return r
-}
-
-// claimKeyBefore orders claim candidates deterministically (see
-// proto.ClaimBefore).
-func claimKeyBefore(a, b asmKey) bool {
-	return proto.ClaimBefore(a.src, a.seq, b.src, b.seq)
-}
-
-// claimArrived copies the already-arrived fragments of a claimed
-// assembly into the posted receive, fragment by fragment per
-// proto.CopyPlan (arrivals need not be contiguous once retransmission
-// or cross-NIC striping is involved; this library always copies
-// per fragment, unlike Open-MX's merged-prefix fast path).
-func (ep *Endpoint) claimArrived(p *sim.Proc, r *Request, got uint64, msgLen int, tmp *hostmem.Buffer) {
-	limit := min(msgLen, r.n)
-	for _, run := range proto.CopyPlan(got, 0, proto.MediumFragSize, limit, false) {
-		d := ep.S.H.Copy.Memcpy(r.buf, r.off+run.Off, tmp, run.Off, run.N, ep.Core)
-		ep.core().RunOn(p, cpu.UserLib, d)
-	}
-}
-
-// Wait drives library progress until r completes.
-func (ep *Endpoint) Wait(p *sim.Proc, r *Request) {
-	for !r.done {
-		if !ep.Progress(p) {
-			p.WaitFor(ep.evSig, func() bool { return len(ep.evq) > 0 })
-		}
-	}
-}
-
-// Test reports whether r completed after a progress pass.
-func (ep *Endpoint) Test(p *sim.Proc, r *Request) bool {
-	ep.Progress(p)
-	return r.done
-}
-
-// Progress drains pending events.
-func (ep *Endpoint) Progress(p *sim.Proc) bool {
-	if len(ep.evq) == 0 {
-		return false
-	}
-	for len(ep.evq) > 0 {
-		ev := ep.evq[0]
-		ep.evq = ep.evq[1:]
-		ep.core().RunOn(p, cpu.UserLib, sim.Duration(ep.S.H.P.OMXLibPickupCost))
-		ep.handleEvent(p, ev)
-	}
-	return true
 }
 
 func (ep *Endpoint) handleEvent(p *sim.Proc, ev *event) {
@@ -542,106 +382,68 @@ func (ep *Endpoint) handleEvent(p *sim.Proc, ev *event) {
 	case evEagerFrag:
 		ep.handleEagerFrag(p, ev)
 	case evRndv:
-		u := &uxMsg{kind: uxRndv, src: ev.src, match: ev.match, seq: ev.seq, msgLen: ev.msgLen, handle: ev.handle}
-		for i, r := range ep.posted {
-			if proto.Matches(r.match, r.mask, ev.match) {
-				ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
-				ep.startPull(p, r, u)
-				return
-			}
-		}
-		ep.ux = append(ep.ux, u)
+		ep.Arrive(p, &mxlib.Message{
+			Src: ev.Src, Match: ev.Match, Len: ev.MsgLen,
+			Start: func(p *sim.Proc, r *mxlib.Request) { ep.startPull(p, r, ev) },
+		})
 	case evRecvDone, evSendDone, evCollDone:
 		// Barriers post no destination buffer, so there may be
 		// nothing to unregister (deferred with the registration cache).
-		if ev.req.buf != nil {
-			if d := ep.S.reg.UnpinCost(ev.req.buf, ev.req.n, ep.S.H.P.UnpinPerPage); d > 0 {
+		if ev.req.Buf != nil {
+			if d := ep.S.reg.UnpinCost(ev.req.Buf, ev.req.N, ep.S.H.P.UnpinPerPage); d > 0 {
 				ep.core().RunOn(p, cpu.UserLib, d)
 			}
 		}
-		ev.req.done = true
+		ev.req.Finish()
 	case evShm:
-		ep.handleShm(p, ev)
+		ep.Arrive(p, ev.msg)
 	}
 }
 
-// handleEagerFrag: the library's single copy from the NIC-deposited
-// receive queue to the destination.
+// handleEagerFrag: the shared library's single copy from the
+// NIC-deposited receive queue to the destination, then the queue
+// slot's release and, once the message completed, its ack.
 func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
-	key := asmKey{src: ev.src, seq: ev.seq}
-	a := ep.asm[key]
-	if a == nil {
-		a = &assembly{match: ev.match, msgLen: ev.msgLen, fragCnt: ev.fragCnt}
-		for i, r := range ep.posted {
-			if proto.Matches(r.match, r.mask, ev.match) {
-				ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
-				a.dst = r
-				break
-			}
-		}
-		if a.dst == nil && ev.msgLen > 0 {
-			a.tmp = ep.S.H.Alloc(ev.msgLen)
-		}
-		ep.asm[key] = a
+	_, complete := ep.EagerFrag(p, &ev.Frag)
+	if ev.Slot >= 0 {
+		ep.ring.Put(ev.Slot)
 	}
-	bit := uint64(1) << ev.fragID
-	if a.got&bit == 0 {
-		a.got |= bit
-		a.arrived++
-		dstBuf, dstOff, limit := a.tmp, ev.offset, ev.msgLen
-		if a.dst != nil {
-			dstBuf, dstOff = a.dst.buf, a.dst.off+ev.offset
-			limit = min(ev.msgLen, a.dst.n)
-		}
-		n := ev.dataLen
-		if ev.offset+n > limit {
-			n = limit - ev.offset
-		}
-		if n > 0 && dstBuf != nil {
-			d := ep.S.H.Copy.Memcpy(dstBuf, dstOff, ep.ring.Buf, ep.ring.Off(ev.slot), n, ep.Core)
-			ep.core().RunOn(p, cpu.UserLib, d)
-		}
+	if !complete {
+		return
 	}
-	if ev.slot >= 0 {
-		ep.ring.Put(ev.slot)
+	// Transport-level cumulative ack: it completes interoperating
+	// Open-MX senders and releases this firmware's own
+	// retransmission snapshots on a native peer. The firmware
+	// window advanced when the last fragment arrived, so its edge
+	// covers ev.Seq (and anything completed before it).
+	ack := ev.Seq
+	if ch := ep.rx[ev.Src]; ch != nil {
+		ack = ch.win.Edge()
 	}
-	if a.arrived == a.fragCnt {
-		delete(ep.asm, key)
-		if a.dst != nil {
-			a.dst.Len = min(a.msgLen, a.dst.n)
-			a.dst.SenderAddr, a.dst.MatchInfo = ev.src, a.match
-			a.dst.done = true
-		} else {
-			ep.ux = append(ep.ux, &uxMsg{kind: uxEager, src: ev.src, match: a.match, msgLen: a.msgLen, tmp: a.tmp})
-		}
-		// Transport-level cumulative ack: it completes interoperating
-		// Open-MX senders and releases this firmware's own
-		// retransmission snapshots on a native peer. The firmware
-		// window advanced when the last fragment arrived, so its edge
-		// covers ev.seq (and anything completed before it).
-		ack := ev.seq
-		if ch := ep.rx[ev.src]; ch != nil {
-			ack = ch.win.Edge()
-		}
-		ep.S.transmit(ev.src, &proto.Ack{Src: ev.src, Dst: ep.Addr(), AckSeq: ack}, nil)
-	}
+	ep.S.transmit(ev.Src, &proto.Ack{Src: ev.Src, Dst: ep.Addr(), AckSeq: ack}, nil)
 }
 
-// startPull: user-level pull command; the firmware then drives the
-// whole transfer with zero host involvement.
-func (ep *Endpoint) startPull(p *sim.Proc, r *Request, u *uxMsg) {
+// copyFrag copies an eager fragment's payload out of the receive
+// queue.
+func (ep *Endpoint) copyFrag(f *mxlib.Frag, dst *hostmem.Buffer, off, n int) sim.Duration {
+	return ep.S.H.Copy.Memcpy(dst, off, ep.ring.Buf, ep.ring.Off(f.Slot), n, ep.Core)
+}
+
+// startPull: user-level pull command for rendezvous request ev,
+// matched by r; the firmware then drives the whole transfer with zero
+// host involvement.
+func (ep *Endpoint) startPull(p *sim.Proc, r *mxlib.Request, ev *event) {
 	s := ep.S
-	n := min(u.msgLen, r.n)
-	cost := sim.Duration(s.H.P.MXPostCost) + s.reg.PinCost(r.buf, n, s.H.P.MXPinPerPage, s.H.P.UnpinPerPage)
+	n := r.Len()
+	cost := sim.Duration(s.H.P.MXPostCost) + s.reg.PinCost(r.Buf, n, s.H.P.MXPinPerPage, s.H.P.UnpinPerPage)
 	ep.core().RunOn(p, cpu.UserLib, cost)
 	s.nextHandle++
 	lp := &mxPull{
-		handle: s.nextHandle, ep: ep, req: r, src: u.src, senderHandle: u.handle,
-		key: proto.RndvKey{Src: u.src, Dst: ep.ID, Seq: u.seq},
-		buf: r.buf, off: r.off, n: n, frags: proto.FragsOf(n),
+		handle: s.nextHandle, ep: ep, req: r, src: ev.Src, senderHandle: ev.handle,
+		key: proto.RndvKey{Src: ev.Src, Dst: ep.ID, Seq: ev.Seq},
+		buf: r.Buf, off: r.Off, n: n, frags: proto.FragsOf(n),
 		blocks: make(map[int]*mxBlock),
 	}
-	r.MatchInfo, r.SenderAddr = u.match, u.src
 	lp.startedAt = s.H.E.Now()
 	s.pulls[lp.handle] = lp
 	// Two pipelined pull blocks outstanding per NIC lane, entirely

@@ -100,26 +100,6 @@ func TestLargeZeroCopyNoLibraryCopyCost(t *testing.T) {
 	}
 }
 
-func TestUnexpectedEager(t *testing.T) {
-	pr := newPair(t, Config{})
-	n := 8192
-	src, dst := pr.sa.H.Alloc(n), pr.sb.H.Alloc(n)
-	src.Fill(5)
-	pr.e.Go("send", func(p *sim.Proc) {
-		r := pr.epA.ISend(p, pr.epB.Addr(), 3, src, 0, n)
-		pr.epA.Wait(p, r)
-	})
-	pr.e.Go("recv", func(p *sim.Proc) {
-		p.Sleep(sim.Millisecond)
-		r := pr.epB.IRecv(p, 3, ^uint64(0), dst, 0, n)
-		pr.epB.Wait(p, r)
-	})
-	pr.e.RunUntil(sim.Second)
-	if !hostmem.Equal(src, dst) {
-		t.Fatal("unexpected eager corrupted")
-	}
-}
-
 func TestUnexpectedRndv(t *testing.T) {
 	pr := newPair(t, Config{})
 	n := 512 * 1024

@@ -1,7 +1,6 @@
 package mxoe
 
 import (
-	"omxsim/internal/core"
 	"omxsim/internal/proto"
 	"omxsim/sim"
 )
@@ -43,19 +42,11 @@ type mxUnacked struct {
 }
 
 // mxRxChan is the firmware's per-(endpoint, peer) receive window:
-// the shared cumulative completion window plus per-message fragment
-// bitmaps for duplicate suppression.
+// the shared cumulative completion window plus, per in-flight eager
+// message, the fragments accepted so far, for duplicate suppression.
 type mxRxChan struct {
 	win proto.Window
-	asm map[uint32]*fwAsm
-}
-
-// fwAsm tracks which fragments of one in-flight eager message the
-// firmware has accepted.
-type fwAsm struct {
-	got     uint64
-	arrived int
-	cnt     int
+	asm map[uint32]*proto.Reassembly
 }
 
 // mxTx returns (creating on demand) the firmware tx channel to dst.
@@ -72,7 +63,7 @@ func (ep *Endpoint) mxTx(dst proto.Addr) *mxTxChan {
 func (ep *Endpoint) mxRx(src proto.Addr) *mxRxChan {
 	c := ep.rx[src]
 	if c == nil {
-		c = &mxRxChan{win: proto.NewWindow(), asm: make(map[uint32]*fwAsm)}
+		c = &mxRxChan{win: proto.NewWindow(), asm: make(map[uint32]*proto.Reassembly)}
 		ep.rx[src] = c
 	}
 	return c
@@ -85,7 +76,7 @@ func (ep *Endpoint) armEagerRtx(tc *mxTxChan) {
 	s := ep.S
 	tc.Arm(s.H.E, &s.peers, func(unacked []*mxUnacked) {
 		s.Stats.EagerRetransmits++
-		s.traceRetransmit(unacked[0].Seq, -1, 0)
+		s.Trace.Retransmit(s.H.E.Now(), unacked[0].Seq, -1, 0)
 		for _, u := range unacked {
 			for i, m := range u.msgs {
 				// Same lane as the original fragment, so a lossy
@@ -107,10 +98,10 @@ func (s *Stack) armRndvRtx(ms *mxSend) {
 		if !ms.pulled {
 			ms.attempts++
 			s.Stats.RndvRetransmits++
-			s.traceRetransmit(ms.seq, -1, s.laneOf(ms.seq, 0))
+			s.Trace.Retransmit(s.H.E.Now(), ms.seq, -1, s.laneOf(ms.seq, 0))
 			s.transmitOn(s.laneOf(ms.seq, 0), ms.dst, &proto.RndvRequest{
 				Src: ms.ep.Addr(), Dst: ms.dst,
-				Match: ms.req.MatchInfo, Seq: ms.seq, MsgLen: ms.n,
+				Match: ms.req.Match(), Seq: ms.seq, MsgLen: ms.n,
 				SenderHandle: ms.handle,
 			}, nil)
 		} else {
@@ -149,7 +140,7 @@ func (s *Stack) armBlockTimer(lp *mxPull, blk *mxBlock) {
 		blk.attempts++
 		blk.rtxed = true
 		s.Stats.PullRetransmits++
-		s.traceRetransmit(lp.key.Seq, blk.idx, s.laneOf(lp.key.Seq, blk.idx))
+		s.Trace.Retransmit(s.H.E.Now(), lp.key.Seq, blk.idx, s.laneOf(lp.key.Seq, blk.idx))
 		if lp.aw != nil {
 			// The timeout is the loss signal: halve the window once per
 			// loss epoch (the next clean sample reopens the epoch).
@@ -170,27 +161,4 @@ func (s *Stack) sendPull(lp *mxPull, blk *mxBlock, mask uint64) {
 		NeedMask: mask,
 	}, nil)
 	s.armBlockTimer(lp, blk)
-}
-
-// traceRetransmit publishes one firmware retransmission as a
-// zero-length span.
-func (s *Stack) traceRetransmit(seq uint32, block, lane int) {
-	if s.Trace == nil {
-		return
-	}
-	now := s.H.E.Now()
-	s.Trace(core.TraceEvent{
-		Kind: "retransmit", Frag: -1, Start: now, End: now,
-		Seq: seq, Block: block, Lane: lane,
-	})
-}
-
-// traceCounter publishes one named scalar sample (srtt, pull-queue)
-// to the trace stream.
-func (s *Stack) traceCounter(name string, v float64) {
-	if s.Trace == nil {
-		return
-	}
-	now := s.H.E.Now()
-	s.Trace(core.TraceEvent{Kind: "counter", Frag: -1, Start: now, End: now, Name: name, Value: v})
 }

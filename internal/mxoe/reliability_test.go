@@ -6,6 +6,7 @@ import (
 
 	"omxsim/internal/host"
 	"omxsim/internal/hostmem"
+	"omxsim/internal/mxlib"
 	"omxsim/internal/wire"
 	"omxsim/platform"
 	"omxsim/sim"
@@ -48,7 +49,7 @@ func exchange(t *testing.T, pr *pair, count, n int) {
 		}
 	})
 	pr.e.Go("send", func(p *sim.Proc) {
-		var reqs []*Request
+		var reqs []*mxlib.Request
 		for i := 0; i < count; i++ {
 			reqs = append(reqs, pr.epA.ISend(p, pr.epB.Addr(), uint64(i), srcs[i], 0, n))
 		}
@@ -77,8 +78,8 @@ func checkRingsDrained(t *testing.T, eps ...*Endpoint) {
 	t.Helper()
 	for _, ep := range eps {
 		if n := ep.ring.InUse(); n != 0 {
-			t.Fatalf("%s endpoint %d leaked %d/%d receive-queue slots (evq=%d ux=%d asm=%d)",
-				ep.S.H.Name, ep.ID, n, ep.S.Cfg.RingSlots, len(ep.evq), len(ep.ux), len(ep.asm))
+			t.Fatalf("%s endpoint %d leaked %d/%d receive-queue slots (%v)",
+				ep.S.H.Name, ep.ID, n, ep.S.Cfg.RingSlots, ep.Lib)
 		}
 	}
 }

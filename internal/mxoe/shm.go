@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"omxsim/internal/cpu"
+	"omxsim/internal/mxlib"
 	"omxsim/internal/proto"
 	"omxsim/sim"
 )
@@ -30,49 +31,28 @@ const shmChunk = 32 * 1024
 // pipeline-fill portion of the sender copy is on the critical path;
 // the rest overlaps the receiver's copies, which is charged in full
 // on the receiving side.
-func (ep *Endpoint) shmSend(p *sim.Proc, r *Request) *Request {
+func (ep *Endpoint) shmSend(p *sim.Proc, dst proto.Addr, r *mxlib.Request) *mxlib.Request {
 	s := ep.S
-	dst := s.endpoints[r.dst.EP]
-	if dst == nil {
-		panic(fmt.Sprintf("mxoe: local send to unopened endpoint %d on %s", r.dst.EP, s.H.Name))
+	to := s.endpoints[dst.EP]
+	if to == nil {
+		panic(fmt.Sprintf("mxoe: local send to unopened endpoint %d on %s", dst.EP, s.H.Name))
 	}
 	ep.core().RunOn(p, cpu.UserLib, sim.Duration(s.H.P.MXPostCost))
-	seg := s.H.Alloc(r.n)
-	if r.n > 0 {
+	seg := s.H.Alloc(r.N)
+	if r.N > 0 {
 		// Bytes all move (integrity); time charged for the first
 		// chunk only (pipeline fill) when the message spans chunks.
-		fill := min(r.n, shmChunk)
+		fill := min(r.N, shmChunk)
 		var d sim.Duration
-		if r.n > fill {
-			d = s.H.Copy.CopyTime(seg, r.buf, fill, ep.Core)
-			s.H.Copy.Memcpy(seg, 0, r.buf, r.off, r.n, ep.Core)
+		if r.N > fill {
+			d = s.H.Copy.CopyTime(seg, r.Buf, fill, ep.Core)
+			s.H.Copy.Memcpy(seg, 0, r.Buf, r.Off, r.N, ep.Core)
 		} else {
-			d = s.H.Copy.Memcpy(seg, 0, r.buf, r.off, r.n, ep.Core)
+			d = s.H.Copy.Memcpy(seg, 0, r.Buf, r.Off, r.N, ep.Core)
 		}
 		ep.core().RunOn(p, cpu.UserLib, d)
 	}
-	dst.pushEvent(&event{
-		kind: evShm, src: ep.Addr(), match: r.MatchInfo,
-		msgLen: r.n, seg: seg,
-	})
-	r.done = true
+	to.Push(&event{kind: evShm, msg: &mxlib.Message{Src: ep.Addr(), Match: r.Match(), Len: r.N, Tmp: seg}})
+	r.Finish()
 	return r
-}
-
-// handleShm matches an incoming shared-memory message or queues it as
-// unexpected (the segment doubles as the temporary storage).
-func (ep *Endpoint) handleShm(p *sim.Proc, ev *event) {
-	for i, r := range ep.posted {
-		if proto.Matches(r.match, r.mask, ev.match) {
-			ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
-			n := min(ev.msgLen, r.n)
-			if n > 0 {
-				d := ep.S.H.Copy.Memcpy(r.buf, r.off, ev.seg, 0, n, ep.Core)
-				ep.core().RunOn(p, cpu.UserLib, d)
-			}
-			r.Len, r.SenderAddr, r.MatchInfo, r.done = n, ev.src, ev.match, true
-			return
-		}
-	}
-	ep.ux = append(ep.ux, &uxMsg{kind: uxEager, src: ev.src, match: ev.match, msgLen: ev.msgLen, tmp: ev.seg})
 }

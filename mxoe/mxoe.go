@@ -9,8 +9,8 @@ import (
 	"omxsim/cluster"
 	"omxsim/internal/cpu"
 	"omxsim/internal/hostmem"
+	"omxsim/internal/mxlib"
 	"omxsim/internal/mxoe"
-	"omxsim/internal/proto"
 	"omxsim/openmx"
 	"omxsim/sim"
 )
@@ -133,57 +133,38 @@ func (s *Stack) Inner() *mxoe.Stack { return s.s }
 
 // Open creates endpoint id bound to the given core.
 func (s *Stack) Open(id, coreID int) openmx.Endpoint {
-	return &endpoint{ep: s.s.OpenEndpoint(id, coreID)}
+	return endpoint{s.s.OpenEndpoint(id, coreID)}
 }
 
-type endpoint struct {
-	ep *mxoe.Endpoint
+// endpoint adapts a firmware endpoint to openmx.Endpoint and
+// openmx.CollCapable: its requests satisfy openmx.Request as they
+// are, only buffers and request handles convert.
+type endpoint struct{ *mxoe.Endpoint }
+
+func (e endpoint) ISend(p *sim.Proc, dst openmx.Addr, match uint64, buf *cluster.Buffer, off, n int) openmx.Request {
+	return e.Endpoint.ISend(p, dst, match, buf.Raw(), off, n)
 }
 
-type request struct {
-	r *mxoe.Request
+func (e endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *cluster.Buffer, off, n int) openmx.Request {
+	return e.Endpoint.IRecv(p, match, mask, buf.Raw(), off, n)
 }
 
-func (r request) Done() bool { return r.r.Done() }
-func (r request) Len() int   { return r.r.Len }
-func (r request) Sender() openmx.Addr {
-	return openmx.Addr{Host: r.r.SenderAddr.Host, EP: r.r.SenderAddr.EP}
+func (e endpoint) Wait(p *sim.Proc, r openmx.Request) { e.Endpoint.Wait(p, r.(*mxlib.Request)) }
+
+func (e endpoint) Test(p *sim.Proc, r openmx.Request) bool {
+	return e.Endpoint.Test(p, r.(*mxlib.Request))
 }
-func (r request) Match() uint64 { return r.r.MatchInfo }
-
-func (e *endpoint) Addr() openmx.Addr {
-	a := e.ep.Addr()
-	return openmx.Addr{Host: a.Host, EP: a.EP}
-}
-
-func (e *endpoint) ISend(p *sim.Proc, dst openmx.Addr, match uint64, buf *cluster.Buffer, off, n int) openmx.Request {
-	return request{e.ep.ISend(p, proto.Addr{Host: dst.Host, EP: dst.EP}, match, buf.Raw(), off, n)}
-}
-
-func (e *endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *cluster.Buffer, off, n int) openmx.Request {
-	return request{e.ep.IRecv(p, match, mask, buf.Raw(), off, n)}
-}
-
-func (e *endpoint) Wait(p *sim.Proc, r openmx.Request) { e.ep.Wait(p, r.(request).r) }
-
-func (e *endpoint) Test(p *sim.Proc, r openmx.Request) bool { return e.ep.Test(p, r.(request).r) }
-
-func (e *endpoint) Progress(p *sim.Proc) bool { return e.ep.Progress(p) }
 
 // CollJoin implements openmx.CollCapable: it registers this
 // endpoint's membership in the collective group defined by members
 // (every rank's endpoint address, in rank order) and returns the
 // descriptor-post API backed by the NIC's firmware state machines.
-func (e *endpoint) CollJoin(members []openmx.Addr) openmx.CollGroup {
-	ms := make([]proto.Addr, len(members))
-	for i, m := range members {
-		ms[i] = proto.Addr{Host: m.Host, EP: m.EP}
-	}
-	return collGroup{g: e.ep.CollJoin(ms)}
+func (e endpoint) CollJoin(members []openmx.Addr) openmx.CollGroup {
+	return collGroup{g: e.Endpoint.CollJoin(members)}
 }
 
 // CollMaxBytes implements openmx.CollCapable.
-func (e *endpoint) CollMaxBytes() int { return mxoe.CollMaxBytes }
+func (e endpoint) CollMaxBytes() int { return mxoe.CollMaxBytes }
 
 type collGroup struct {
 	g *mxoe.CollGroup
@@ -193,17 +174,17 @@ func (g collGroup) Size() int { return g.g.Size() }
 func (g collGroup) Rank() int { return g.g.Rank() }
 
 func (g collGroup) PostBarrier(p *sim.Proc) openmx.Request {
-	return request{g.g.PostBarrier(p)}
+	return g.g.PostBarrier(p)
 }
 
 func (g collGroup) PostBcast(p *sim.Proc, root int, buf *cluster.Buffer, off, n int) openmx.Request {
-	return request{g.g.PostBcast(p, root, buf.Raw(), off, n)}
+	return g.g.PostBcast(p, root, buf.Raw(), off, n)
 }
 
 func (g collGroup) PostAllreduce(p *sim.Proc, sbuf, rbuf *cluster.Buffer, n int) openmx.Request {
-	return request{g.g.PostAllreduce(p, sbuf.Raw(), rbuf.Raw(), n)}
+	return g.g.PostAllreduce(p, sbuf.Raw(), rbuf.Raw(), n)
 }
 
 func (g collGroup) PostScan(p *sim.Proc, sbuf, rbuf *cluster.Buffer, n int) openmx.Request {
-	return request{g.g.PostScan(p, sbuf.Raw(), rbuf.Raw(), n)}
+	return g.g.PostScan(p, sbuf.Raw(), rbuf.Raw(), n)
 }

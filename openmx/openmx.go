@@ -28,19 +28,14 @@ import (
 	"omxsim/internal/core"
 	"omxsim/internal/cpu"
 	"omxsim/internal/hostmem"
+	"omxsim/internal/mxlib"
 	"omxsim/internal/proto"
 	"omxsim/platform"
 	"omxsim/sim"
 )
 
 // Addr identifies an endpoint: host name plus endpoint index.
-type Addr struct {
-	Host string
-	EP   int
-}
-
-func (a Addr) internal() proto.Addr  { return proto.Addr{Host: a.Host, EP: a.EP} }
-func fromInternal(a proto.Addr) Addr { return Addr{Host: a.Host, EP: a.EP} }
+type Addr = proto.Addr
 
 // Config selects the stack's optimizations and thresholds; it is the
 // Open-MX configuration from the paper (see internal/core.Config for
@@ -221,34 +216,21 @@ func (s *Stack) Inner() *core.Stack { return s.s }
 
 // Open creates endpoint id bound to the given core and returns it.
 func (s *Stack) Open(id, coreID int) Endpoint {
-	return &endpoint{ep: s.s.OpenEndpoint(id, coreID)}
+	return endpoint{s.s.OpenEndpoint(id, coreID)}
 }
 
-type endpoint struct {
-	ep *core.Endpoint
+// endpoint adapts a core endpoint to Endpoint: its requests satisfy
+// Request as they are, only buffers and request handles convert.
+type endpoint struct{ *core.Endpoint }
+
+func (e endpoint) ISend(p *sim.Proc, dst Addr, match uint64, buf *cluster.Buffer, off, n int) Request {
+	return e.Endpoint.ISend(p, dst, match, buf.Raw(), off, n)
 }
 
-type request struct {
-	r *core.Request
+func (e endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *cluster.Buffer, off, n int) Request {
+	return e.Endpoint.IRecv(p, match, mask, buf.Raw(), off, n)
 }
 
-func (r request) Done() bool    { return r.r.Done() }
-func (r request) Len() int      { return r.r.Len }
-func (r request) Sender() Addr  { return fromInternal(r.r.SenderAddr) }
-func (r request) Match() uint64 { return r.r.MatchInfo }
+func (e endpoint) Wait(p *sim.Proc, r Request) { e.Endpoint.Wait(p, r.(*mxlib.Request)) }
 
-func (e *endpoint) Addr() Addr { return fromInternal(e.ep.Addr()) }
-
-func (e *endpoint) ISend(p *sim.Proc, dst Addr, match uint64, buf *cluster.Buffer, off, n int) Request {
-	return request{e.ep.ISend(p, dst.internal(), match, buf.Raw(), off, n)}
-}
-
-func (e *endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *cluster.Buffer, off, n int) Request {
-	return request{e.ep.IRecv(p, match, mask, buf.Raw(), off, n)}
-}
-
-func (e *endpoint) Wait(p *sim.Proc, r Request) { e.ep.Wait(p, r.(request).r) }
-
-func (e *endpoint) Test(p *sim.Proc, r Request) bool { return e.ep.Test(p, r.(request).r) }
-
-func (e *endpoint) Progress(p *sim.Proc) bool { return e.ep.Progress(p) }
+func (e endpoint) Test(p *sim.Proc, r Request) bool { return e.Endpoint.Test(p, r.(*mxlib.Request)) }
