@@ -71,7 +71,10 @@ golden-check:
 # (and with it the 512-rank CI budget) has regressed. Opening an
 # endpoint on either stack must allocate at most 64 KiB: the modelled
 # 2 MiB receive ring is backed slot by slot on first use, not zeroed
-# up front.
+# up front. A 1 MiB ping-pong on either stack must allocate at most
+# 256 KiB per simulated MiB delivered: frames reference the pinned
+# source instead of copying it and skbuff backings are recycled, so a
+# payload byte is not allocated again in transit.
 benchalloc:
 	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkEventCoreCalendar' -benchmem ./sim); \
 	echo "$$out"; \
@@ -91,6 +94,16 @@ benchalloc:
 		END { \
 			if (runs != 2) { print "benchalloc: endpoint-open benchmarks reported " runs + 0 " results, want 2" > "/dev/stderr"; exit 1 } \
 			if (bad != "") { print "benchalloc: endpoint open allocates B/op:" bad ", want <= " max > "/dev/stderr"; exit 1 } }'
+	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkPingPong1MB$$' -benchtime 20x \
+		./internal/core ./internal/mxoe); \
+	echo "$$out"; \
+	echo "$$out" | awk -v max=262144 ' \
+		/^pkg:/ { pkg = $$2 } \
+		/^BenchmarkPingPong1MB/ { for (i = 2; i <= NF; i++) if ($$i == "B/simMiB") { \
+			runs++; if ($$(i-1) + 0 > max) bad = bad " " pkg "=" $$(i-1) } } \
+		END { \
+			if (runs != 2) { print "benchalloc: ping-pong benchmarks reported " runs + 0 " results, want 2" > "/dev/stderr"; exit 1 } \
+			if (bad != "") { print "benchalloc: 1 MiB ping-pong allocates B/simMiB:" bad ", want <= " max > "/dev/stderr"; exit 1 } }'
 
 ci-fast: build vet lint fmt-check test-short
 

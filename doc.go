@@ -37,13 +37,21 @@
 //     DCA-resident states, the NUMA home socket, and the per-stack
 //     LRU registration cache — all over a buffer's logical size, plus
 //     the endpoint receive ring both stacks share (hostmem.Ring,
-//     backed slot by slot on first use) — which memmodel.RateFor prices into
+//     backed slot by slot on first use) and a per-size spare list of
+//     released byte backings (Memory.Release: nic's Skb.Free returns
+//     each skbuff's backing, after any I/OAT copy out of it retired,
+//     and the next same-size allocation reuses it zeroed under a
+//     fresh Buffer) — which memmodel.RateFor prices into
 //     copy rates (DCA blend, wrong-socket and snoop penalties,
 //     cross-socket, L1/L2/half-warm); nic and ioat charge
 //     NUMA-distance deposit costs and mark every deposit
 //     (WrittenByDMA, or WrittenByDCA on a platform.ClovertownDCA
 //     machine, where the NIC pushes receive-ring lines into the
-//     interrupt core's LLC). Every per-peer transport decision both
+//     interrupt core's LLC). Frames own no payload copy they can
+//     reference: Open-MX eager fragments and both stacks' pull
+//     replies carry a slice of the pinned source, kept by the sender
+//     until the send completes (only MX eager, complete at post time,
+//     snapshots). Every per-peer transport decision both
 //     stacks make lives once in internal/proto: the wire formats, the
 //     receive window and tx channel (sequence issue, cumulative acks
 //     with Karn-rule RTT samples, the backed-off retransmission

@@ -292,7 +292,12 @@ func (ep *Endpoint) eagerSendOp(p *sim.Proc, dst proto.Addr, r *mxlib.Request) {
 }
 
 // transmitEager builds and transmits the fragment frames of one eager
-// message (also used by retransmission).
+// message (also used by retransmission). Each frame's payload is a
+// capped slice of the request's source buffer, not a copy — the
+// zero-copy skbuff build the driver charges for: the request completes
+// only when the peer's cumulative ack covers it, so the source stays
+// untouched while any of its frames can still be read, and
+// retransmissions rebuild from it.
 func (s *Stack) transmitEager(ep *Endpoint, dst proto.Addr, seq uint32, r *mxlib.Request) {
 	n := r.N
 	frags := proto.MediumFragsOf(n)
@@ -305,8 +310,8 @@ func (s *Stack) transmitEager(ep *Endpoint, dst proto.Addr, seq uint32, r *mxlib
 		}
 		var payload []byte
 		if fl > 0 {
-			payload = make([]byte, fl)
-			copy(payload, r.Buf.Data[r.Off+fo:r.Off+fo+fl])
+			o := r.Off + fo
+			payload = r.Buf.Data[o : o+fl : o+fl]
 		}
 		// Fragments stripe across NIC lanes (reassembly is bitmap-based
 		// and hole-aware, so cross-lane skew cannot corrupt anything).

@@ -221,6 +221,9 @@ func (s *Stack) rxRndv(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.RndvR
 
 // rxPull runs on the data sender: build the requested fragments as
 // zero-copy skbuffs referencing the pinned user pages, and transmit.
+// Each frame's payload is a capped slice of the source buffer; the send
+// completes only on the receiver's RndvAck, after every fragment has
+// been deposited.
 // The data answers on the lane the pull arrived on, so the block the
 // receiver striped onto lane k streams back over lane k — the whole
 // block's round trip stays on one physical path and the receiver's
@@ -260,8 +263,8 @@ func (s *Stack) rxPull(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *p
 		if fl <= 0 {
 			continue
 		}
-		payload := make([]byte, fl)
-		copy(payload, ls.buf.Data[ls.off+fo:ls.off+fo+fl])
+		o := ls.off + fo
+		payload := ls.buf.Data[o : o+fl : o+fl]
 		s.transmitOn(lane, m.Src, &proto.LargeFrag{
 			Src: ls.ep.Addr(), Dst: m.Src,
 			RecvHandle: m.RecvHandle, Block: m.Block,

@@ -26,6 +26,9 @@ type Memory struct {
 	l2Clocks  []int64 // per L2 domain
 	l1Clocks  []int64 // per core
 	allocated int64
+	// spare holds the backings of released buffers by length, for the
+	// next allocation of that size to reuse (see Release).
+	spare map[int][][]byte
 }
 
 // New returns the memory system for a host described by p.
@@ -46,7 +49,8 @@ func (m *Memory) Allocated() int64 { return m.allocated }
 // pages, warmth, coverage — is fixed at allocation. Data is the real
 // backing; it spans the whole logical size except for a Ring's
 // buffer, whose backing is materialized slot by slot on first use
-// (bytes beyond it read as zero). Buffers remember which core last
+// (bytes beyond it read as zero), and it is nil once the buffer is
+// Released. Buffers remember which core last
 // touched them (for warmth and cross-socket decisions), how much of
 // them the current warm episode actually covers, whether a device DMA
 // produced their current contents (and how much of that deposit has
@@ -104,14 +108,45 @@ func (m *Memory) alloc(size, socket, backed int) *Buffer {
 	if socket < 0 || socket >= m.P.Sockets {
 		panic(fmt.Sprintf("hostmem: alloc on socket %d of %d", socket, m.P.Sockets))
 	}
+	var data []byte
+	if free := m.spare[backed]; len(free) > 0 && backed == size {
+		data = free[len(free)-1]
+		m.spare[backed] = free[:len(free)-1]
+		clear(data)
+	} else {
+		data = make([]byte, backed)
+	}
 	b := &Buffer{
-		Mem: m, Addr: m.nextAddr, Data: make([]byte, backed), size: size,
+		Mem: m, Addr: m.nextAddr, Data: data, size: size,
 		lastCore: -1, home: socket, dcaDom: -1,
 		covL2: make([]int, m.P.L2Domains()),
 	}
 	m.nextAddr += int64(size) + int64(m.P.PageSize) // pad to keep addresses distinct
 	m.allocated += int64(size)
 	return b
+}
+
+// Release ends b's life: its backing goes back to the memory, where
+// the next allocation of the same size reuses it (zeroed, under a
+// fresh Buffer with its own address, warmth and pin state), and
+// b.Data becomes nil so that any later use of b's bytes panics. Only a
+// fully backed buffer may be released, once. The spare backings are
+// bounded by the most buffers of each size ever live at once; they are
+// freed with the Memory.
+func (m *Memory) Release(b *Buffer) {
+	switch {
+	case b.Data == nil:
+		panic("hostmem: double release of buffer")
+	case len(b.Data) != b.size:
+		panic(fmt.Sprintf("hostmem: release of partially backed buffer (%d of %d bytes)", len(b.Data), b.size))
+	}
+	if b.size > 0 {
+		if m.spare == nil {
+			m.spare = make(map[int][][]byte)
+		}
+		m.spare[b.size] = append(m.spare[b.size], b.Data)
+	}
+	b.Data = nil
 }
 
 // HomeSocket reports the NUMA node the buffer's pages live on.

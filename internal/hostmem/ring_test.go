@@ -153,26 +153,7 @@ func TestRingWarmthMatchesFullBuffer(t *testing.T) {
 			// Each memory gets its own traffic buffer so the script
 			// advances both clock sets identically.
 			tr, tf := mr.Alloc(int(p.L2Size)), mf.Alloc(int(p.L2Size))
-			steps := []struct {
-				name string
-				do   func(b, traffic *Buffer)
-			}{
-				{"fresh", func(b, _ *Buffer) {}},
-				{"touch one slot", func(b, _ *Buffer) { b.Touch(0, slot) }},
-				{"touch again", func(b, _ *Buffer) { b.Touch(0, slot) }},
-				{"sibling core", func(b, _ *Buffer) { b.Touch(1, 3*slot) }},
-				{"other subchip", func(b, _ *Buffer) { b.Touch(2, 2*slot) }},
-				{"DMA deposit", func(b, _ *Buffer) { b.WrittenByDMA() }},
-				{"partial snoop", func(b, _ *Buffer) { b.Touch(3, slot) }},
-				{"whole snoop", func(b, _ *Buffer) { b.Touch(3, size) }},
-				{"DCA one slot", func(b, _ *Buffer) { b.WrittenByDCA(0, slot) }},
-				{"DCA whole", func(b, _ *Buffer) { b.WrittenByDCA(5, size) }},
-				{"evict", func(_, traffic *Buffer) { traffic.Touch(4, traffic.Size()) }},
-				{"remote touch", func(b, _ *Buffer) { b.Touch(6, size) }},
-				{"DCA after remote", func(b, _ *Buffer) { b.WrittenByDCA(1, 2*slot) }},
-				{"consume", func(b, _ *Buffer) { b.Touch(1, slot) }},
-			}
-			for i, st := range steps {
+			for i, st := range warmthScript(slot, size) {
 				st.do(r.Buf, tr)
 				st.do(full, tf)
 				if i%3 == 2 {
@@ -185,6 +166,36 @@ func TestRingWarmthMatchesFullBuffer(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// warmthStep is one step of a scripted model sequence, applied to the
+// buffer under test b with traffic, a buffer of the same memory, as
+// eviction pressure.
+type warmthStep struct {
+	name string
+	do   func(b, traffic *Buffer)
+}
+
+// warmthScript is a sequence of touches, device DMA and DCA deposits
+// over a buffer of the given logical size that visits every warmth,
+// coverage, snoop and DCA state the model distinguishes.
+func warmthScript(slot, size int) []warmthStep {
+	return []warmthStep{
+		{"fresh", func(b, _ *Buffer) {}},
+		{"touch one slot", func(b, _ *Buffer) { b.Touch(0, slot) }},
+		{"touch again", func(b, _ *Buffer) { b.Touch(0, slot) }},
+		{"sibling core", func(b, _ *Buffer) { b.Touch(1, 3*slot) }},
+		{"other subchip", func(b, _ *Buffer) { b.Touch(2, 2*slot) }},
+		{"DMA deposit", func(b, _ *Buffer) { b.WrittenByDMA() }},
+		{"partial snoop", func(b, _ *Buffer) { b.Touch(3, slot) }},
+		{"whole snoop", func(b, _ *Buffer) { b.Touch(3, size) }},
+		{"DCA one slot", func(b, _ *Buffer) { b.WrittenByDCA(0, slot) }},
+		{"DCA whole", func(b, _ *Buffer) { b.WrittenByDCA(5, size) }},
+		{"evict", func(_, traffic *Buffer) { traffic.Touch(4, traffic.Size()) }},
+		{"remote touch", func(b, _ *Buffer) { b.Touch(6, size) }},
+		{"DCA after remote", func(b, _ *Buffer) { b.WrittenByDCA(1, 2*slot) }},
+		{"consume", func(b, _ *Buffer) { b.Touch(1, slot) }},
 	}
 }
 

@@ -189,7 +189,9 @@ func (s *Stack) fwRndv(m *proto.RndvRequest) {
 	})
 }
 
-// fwPull streams the requested fragments from the pinned user buffer,
+// fwPull streams the requested fragments straight from the pinned user
+// buffer — each frame's payload is a capped slice of it, which the
+// sender keeps until the receiver's RndvAck completes the send —
 // paced by the firmware's control overhead: this pacing is what puts
 // native MX at ≈1140 MiB/s instead of the 1186 MiB/s line rate. The
 // NeedMask selects which fragments of the block to send — all of them
@@ -227,8 +229,8 @@ func (s *Stack) fwPull(lane int, m *proto.Pull) {
 		if fl <= 0 {
 			return
 		}
-		payload := make([]byte, fl)
-		copy(payload, ms.buf.Data[ms.off+fo:ms.off+fo+fl])
+		o := ms.off + fo
+		payload := ms.buf.Data[o : o+fl : o+fl]
 		// Answer on the lane the pull arrived on: the block stays on
 		// one physical path end to end.
 		s.transmitOn(lane, m.Src, &proto.LargeFrag{

@@ -28,7 +28,10 @@ import (
 	"omxsim/sim"
 )
 
-// Skb is a socket buffer holding one received frame.
+// Skb is a socket buffer holding one received frame. Free hands Buf's
+// backing back to the host memory for a later deposit to reuse
+// (hostmem.Memory.Release), so Buf must not be read after Free, and an
+// skbuff must not be freed while an I/OAT copy out of it is pending.
 type Skb struct {
 	Buf   *hostmem.Buffer // payload bytes, freshly DMA'd (cache-cold)
 	Frame *wire.Frame
@@ -39,14 +42,15 @@ type Skb struct {
 // Len reports the payload length.
 func (s *Skb) Len() int { return len(s.Buf.Data) }
 
-// Free releases the skbuff. Freeing twice panics (use-after-free guard
-// for the driver's resource tracking).
+// Free releases the skbuff and its payload backing. Freeing twice
+// panics (use-after-free guard for the driver's resource tracking).
 func (s *Skb) Free() {
 	if s.freed {
 		panic("nic: double free of skbuff")
 	}
 	s.freed = true
 	s.nic.skbsLive--
+	s.nic.Mem.Release(s.Buf)
 }
 
 // RxHandler is the protocol receive callback, invoked in bottom-half

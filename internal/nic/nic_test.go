@@ -5,6 +5,7 @@ import (
 
 	"omxsim/internal/cpu"
 	"omxsim/internal/hostmem"
+	"omxsim/internal/ioat"
 	"omxsim/internal/wire"
 	"omxsim/platform"
 	"omxsim/sim"
@@ -378,4 +379,111 @@ func TestSwitchForwarding(t *testing.T) {
 	if sw.FramesUnknown != 1 {
 		t.Fatalf("unknown=%d", sw.FramesUnknown)
 	}
+}
+
+// Freeing an skbuff releases its payload backing for a later deposit
+// to reuse. With I/OAT copying out of skbuffs asynchronously, a
+// backing must not be handed to a new frame while a descriptor that
+// reads it is still queued. Here a slow engine and a small ring keep
+// many skbuffs pending and the ring overflowing; every skbuff is freed
+// only when its copy retires. No arriving frame may land in a backing
+// an unretired descriptor still reads, backings must actually be
+// reused, and every delivered payload must arrive intact.
+func TestSkbBackingNotReusedBeforeIOATRetires(t *testing.T) {
+	e := sim.New()
+	t.Cleanup(e.Close)
+	p := platform.Clovertown()
+	p.RxRingSize = 8
+	p.IOATEngineRate /= 4
+	mkNIC := func(name string) *NIC {
+		return New(e, p, cpu.NewSystem(e, p), hostmem.New(p), name)
+	}
+	a, b := mkNIC("nicA"), mkNIC("nicB")
+	ab, ba := wire.Connect(e, p, a, b)
+	a.SetHose(ab)
+	b.SetHose(ba)
+
+	const frames, size = 64, 8192
+	eng := ioat.NewEngine(e, p)
+	ch := eng.Channel(0)
+	dst := b.Mem.Alloc(frames * size)
+	copied := make([]bool, frames)
+	reading := map[*byte]bool{} // backings unretired descriptors read
+	seen := map[*byte]bool{}
+	reuses := 0
+	b.SetRxHandler(func(pr *sim.Proc, core *cpu.Core, skb *Skb) {
+		i := skb.Frame.Msg.(int)
+		back := &skb.Buf.Data[0]
+		if reading[back] {
+			t.Errorf("frame %d deposited into a backing an unretired I/OAT copy still reads", i)
+		}
+		if seen[back] {
+			reuses++
+		}
+		seen[back], reading[back] = true, true
+		// A bottom half slower than the wire fills the ring.
+		core.RunOn(pr, cpu.BHProc, 10*sim.Microsecond)
+		core.RunOn(pr, cpu.IOATSubmit, eng.SubmitCost(1))
+		seq := ch.Submit(ioat.CopyReq{Dst: dst, DstOff: i * size, Src: skb.Buf, N: size})
+		ch.NotifyAt(seq, func() {
+			delete(reading, back)
+			copied[i] = true
+			skb.Free()
+		})
+	})
+	pattern := func(i, j int) byte { return byte(i*7 + j*131) }
+	for i := range frames {
+		data := make([]byte, size)
+		for j := range data {
+			data[j] = pattern(i, j)
+		}
+		a.Transmit(&wire.Frame{Data: data, WireLen: size + 32, Msg: i})
+	}
+	e.RunUntil(100 * sim.Millisecond)
+
+	if b.RxDrops == 0 {
+		t.Fatal("ring never overflowed: no pressure")
+	}
+	if reuses == 0 {
+		t.Fatal("no skbuff backing was ever reused")
+	}
+	if b.SkbsLive() != 0 || len(reading) != 0 {
+		t.Fatalf("%d skbuffs live, %d copies unretired after the run", b.SkbsLive(), len(reading))
+	}
+	delivered := 0
+	for i, ok := range copied {
+		if !ok {
+			continue
+		}
+		delivered++
+		for j, v := range dst.Data[i*size : (i+1)*size] {
+			if v != pattern(i, j) {
+				t.Fatalf("frame %d byte %d = %#x, want %#x", i, j, v, pattern(i, j))
+			}
+		}
+	}
+	if int64(delivered) != b.RxFrames {
+		t.Fatalf("%d frames copied out, %d received", delivered, b.RxFrames)
+	}
+}
+
+// Reading an skbuff's payload after Free panics: the backing belongs
+// to the host memory again.
+func TestSkbPayloadUnreadableAfterFree(t *testing.T) {
+	fx := newPair(t)
+	fx.b.SetRxHandler(func(p *sim.Proc, core *cpu.Core, skb *Skb) {
+		buf := skb.Buf
+		skb.Free()
+		if buf.Data != nil {
+			t.Error("freed skbuff still exposes its payload")
+		}
+		defer func() {
+			if recover() == nil {
+				t.Error("no panic reading a freed skbuff's payload")
+			}
+		}()
+		_ = buf.Data[0]
+	})
+	fx.a.Transmit(frame(64, nil))
+	fx.e.RunUntil(sim.Millisecond)
 }

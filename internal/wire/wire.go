@@ -6,9 +6,8 @@
 // store-and-forward switch with per-port counters and congestible
 // output queues.
 //
-// Frames carry a snapshot of their real payload bytes (taken when the
-// sending NIC's DMA engine read them from host memory), so data
-// integrity can be checked end to end, plus a decoded protocol message
+// Frames carry their real payload bytes, so data integrity can be
+// checked end to end, plus a decoded protocol message
 // standing in for the on-wire header (whose size is accounted for in
 // the timing via WireLen).
 package wire
@@ -22,8 +21,11 @@ import (
 
 // Frame is one Ethernet frame in flight.
 type Frame struct {
-	// Data is the payload byte snapshot (may be nil for pure control
-	// messages whose few bytes ride in Msg).
+	// Data is the payload (may be nil for pure control messages whose
+	// few bytes ride in Msg). It may alias the sender's pinned source
+	// buffer, as a zero-copy send DMAs straight from it, so it is read
+	// only: a receiver copies it out at deposit time and never writes
+	// it, and the sender leaves it untouched until the send completes.
 	Data []byte
 	// WireLen is the accounted payload length in bytes, including the
 	// protocol header but excluding Ethernet framing (which the link
