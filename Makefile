@@ -74,7 +74,12 @@ golden-check:
 # up front. A 1 MiB ping-pong on either stack must allocate at most
 # 256 KiB per simulated MiB delivered: frames reference the pinned
 # source instead of copying it and skbuff backings are recycled, so a
-# payload byte is not allocated again in transit.
+# payload byte is not allocated again in transit. A Proc spending CPU
+# time (cpu.Core.RunOn) must report 0 allocs/op in steady state: tasks
+# and their wait state are pooled per core. A fresh engine whose
+# events visit every wheel bucket must allocate at most 96 KiB: the
+# buckets are lists threaded through the pooled events, so the wheel
+# is one 64 KiB array and no bucket grows storage of its own.
 benchalloc:
 	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkEventCoreCalendar' -benchmem ./sim); \
 	echo "$$out"; \
@@ -84,6 +89,21 @@ benchalloc:
 		echo "benchalloc: event core steady state allocates $$allocs allocs/op, want 0" >&2; \
 		exit 1; \
 	fi
+	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkRunOn$$' -benchmem ./internal/cpu); \
+	echo "$$out"; \
+	allocs=$$(echo "$$out" | awk '/^BenchmarkRunOn/ {print $$(NF-1)}'); \
+	if [ -z "$$allocs" ]; then echo "benchalloc: RunOn benchmark did not run" >&2; exit 1; fi; \
+	if [ "$$allocs" != "0" ]; then \
+		echo "benchalloc: RunOn steady state allocates $$allocs allocs/op, want 0" >&2; \
+		exit 1; \
+	fi
+	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkFreshEngine$$' -benchmem ./sim); \
+	echo "$$out"; \
+	echo "$$out" | awk -v max=98304 ' \
+		/^BenchmarkFreshEngine/ { for (i = 2; i <= NF; i++) if ($$i == "B/op") { runs++; got = $$(i-1) } } \
+		END { \
+			if (runs != 1) { print "benchalloc: fresh-engine benchmark reported " runs + 0 " results, want 1" > "/dev/stderr"; exit 1 } \
+			if (got + 0 > max) { print "benchalloc: a fresh engine allocates " got " B/op, want <= " max > "/dev/stderr"; exit 1 } }'
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkEndpointOpen$$' -benchtime 1000x -benchmem \
 		./internal/core ./internal/mxoe); \
 	echo "$$out"; \

@@ -80,12 +80,30 @@ func priorityOf(c Category) priority {
 	}
 }
 
-// task is one unit of queued work.
+// task is one unit of queued work. Tasks are pooled per core: a
+// finished task goes back to its core's free list, so queueing work
+// allocates nothing once the pool is warm.
 type task struct {
+	c   *Core
 	cat Category
 	dur sim.Duration // fixed duration (dyn == nil)
 	fn  func()       // completion callback
 	dyn func(finish func(extra sim.Duration))
+
+	// finishDyn is the finish callback handed to dyn, bound to this
+	// record once when the record is made; finished guards it.
+	finishDyn func(extra sim.Duration)
+	finished  bool
+
+	// A task with a waiter belongs to the Proc blocked in RunOn or
+	// RunOnDyn until that Proc wakes: done is set and sig broadcast
+	// when the work completes, and the Proc recycles the task.
+	waiter bool
+	done   bool
+	sig    sim.Signal
+	wakeFn func() // bound once: done = true, then broadcast sig
+
+	next *task // free-list link
 }
 
 // Core is one processor core: a serial resource executing tasks.
@@ -97,6 +115,10 @@ type Core struct {
 	busyNs  [numCategories]sim.Duration
 	totalNs sim.Duration
 	started sim.Time // start of current task, for dyn accounting
+
+	cur      *task  // the executing task while busy
+	finishFn func() // bound once: retires cur
+	free     *task  // recycled tasks
 }
 
 // System is the set of cores of one host.
@@ -114,7 +136,9 @@ type System struct {
 func NewSystem(e *sim.Engine, p *platform.Platform) *System {
 	s := &System{E: e, P: p}
 	for i := 0; i < p.NumCores(); i++ {
-		s.Cores = append(s.Cores, &Core{sys: s, ID: i})
+		c := &Core{sys: s, ID: i}
+		c.finishFn = c.finishCur
+		s.Cores = append(s.Cores, c)
 	}
 	return s
 }
@@ -271,10 +295,7 @@ func (c *Core) BusyNs(cat Category) sim.Duration { return c.busyNs[cat] }
 // priority runs before process-priority work but never interrupts a
 // task in progress.
 func (c *Core) Exec(cat Category, d sim.Duration, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("cpu: negative duration %d", d))
-	}
-	c.enqueue(&task{cat: cat, dur: d, fn: fn})
+	c.enqueue(c.newTask(cat, d, fn, nil))
 }
 
 // ExecDyn queues work whose duration is not known in advance: when the
@@ -282,8 +303,36 @@ func (c *Core) Exec(cat Category, d sim.Duration, fn func()) {
 // context) and the core stays busy until run calls finish. The elapsed
 // wall time plus extra is accounted to cat. This models busy-polling a
 // completion whose arrival time depends on other simulated hardware.
+// finish must be called exactly once.
 func (c *Core) ExecDyn(cat Category, run func(finish func(extra sim.Duration))) {
-	c.enqueue(&task{cat: cat, dyn: run})
+	c.enqueue(c.newTask(cat, 0, nil, run))
+}
+
+// newTask takes a task from the core's free list, or makes one (with
+// its bound callbacks) when the list is empty.
+func (c *Core) newTask(cat Category, d sim.Duration, fn func(), dyn func(finish func(extra sim.Duration))) *task {
+	if d < 0 {
+		panic(fmt.Sprintf("cpu: negative duration %d", d))
+	}
+	t := c.free
+	if t == nil {
+		t = &task{c: c}
+		t.finishDyn = t.finishDynamic
+		t.wakeFn = t.wake
+	} else {
+		c.free = t.next
+		t.next = nil
+	}
+	t.cat, t.dur, t.fn, t.dyn = cat, d, fn, dyn
+	return t
+}
+
+// recycle returns a task whose work and wait are over to the free list.
+func (c *Core) recycle(t *task) {
+	t.fn, t.dyn = nil, nil
+	t.finished, t.waiter, t.done = false, false, false
+	t.next = c.free
+	c.free = t
 }
 
 func (c *Core) enqueue(t *task) {
@@ -309,32 +358,58 @@ func (c *Core) dispatch() {
 		return
 	}
 	c.busy = true
+	c.cur = t
 	c.started = c.sys.E.Now()
 	if t.dyn != nil {
-		finished := false
-		t.dyn(func(extra sim.Duration) {
-			if finished {
-				panic("cpu: finish called twice")
-			}
-			finished = true
-			if extra > 0 {
-				c.sys.E.Schedule(extra, func() { c.finish(t) })
-			} else {
-				c.finish(t)
-			}
-		})
+		t.dyn(t.finishDyn)
 		return
 	}
-	c.sys.E.Schedule(t.dur, func() { c.finish(t) })
+	c.sys.E.Schedule(t.dur, c.finishFn)
 }
 
-func (c *Core) finish(t *task) {
+// finishDynamic is a dynamic task's finish callback: the core retires
+// the task extra from now, and a waiting Proc's wake is filed right
+// behind that retirement.
+func (t *task) finishDynamic(extra sim.Duration) {
+	if t.finished {
+		panic("cpu: finish called twice")
+	}
+	t.finished = true
+	c, waiter := t.c, t.waiter
+	if extra > 0 {
+		c.sys.E.Schedule(extra, c.finishFn)
+	} else {
+		c.finishCur() // recycles t unless a Proc waits on it
+	}
+	if waiter {
+		c.sys.E.Schedule(extra, t.wakeFn)
+	}
+}
+
+// wake releases the Proc waiting on the task.
+func (t *task) wake() {
+	t.done = true
+	t.sig.Broadcast()
+}
+
+// finishCur retires the executing task: its time is accounted, its
+// callback runs, and the next queued task starts.
+func (c *Core) finishCur() {
+	t := c.cur
+	c.cur = nil
 	elapsed := c.sys.E.Now() - c.started
 	c.busyNs[t.cat] += elapsed
 	c.totalNs += elapsed
 	c.busy = false
-	if t.fn != nil {
-		t.fn()
+	fn := t.fn
+	switch {
+	case !t.waiter:
+		c.recycle(t)
+	case t.dyn == nil:
+		t.wake() // RunOn: RunOnDyn's wake follows the retirement
+	}
+	if fn != nil {
+		fn()
 	}
 	if !c.busy { // fn may have queued and started new work synchronously
 		c.dispatch()
@@ -342,30 +417,30 @@ func (c *Core) finish(t *task) {
 }
 
 // RunOn executes fixed-duration work on the core from process context:
-// the calling Proc blocks until the work completes (including any queue
-// wait). This is how user processes spend CPU time.
+// the calling Proc blocks until the work completes, queue wait
+// included. This is how user processes spend CPU time. The Proc waits
+// on a Signal and done flag inside the pooled task, which the Proc
+// itself recycles once it wakes, so a steady stream of RunOn calls
+// allocates nothing.
 func (c *Core) RunOn(p *sim.Proc, cat Category, d sim.Duration) {
-	done := sim.NewSignal()
-	fin := false
-	c.Exec(cat, d, func() { fin = true; done.Broadcast() })
-	p.WaitFor(done, func() bool { return fin })
+	c.runWaiting(p, c.newTask(cat, d, nil, nil))
 }
 
 // RunOnDyn executes dynamic-duration work (see ExecDyn) from process
 // context, blocking the calling Proc until it completes. It models a
 // process busy-polling some hardware condition: the core is occupied
-// (and accounted) for the full duration.
+// (and accounted) for the full duration. The Proc wakes at the same
+// instant the core retires the task, strictly after it.
 func (c *Core) RunOnDyn(p *sim.Proc, cat Category, run func(finish func(extra sim.Duration))) {
-	done := sim.NewSignal()
-	fin := false
-	c.ExecDyn(cat, func(finish func(extra sim.Duration)) {
-		run(func(extra sim.Duration) {
-			// finish(extra) keeps the core busy (and accounted) for
-			// extra; our wake is scheduled for the same instant but
-			// strictly after the core retires the task.
-			finish(extra)
-			c.sys.E.Schedule(extra, func() { fin = true; done.Broadcast() })
-		})
-	})
-	p.WaitFor(done, func() bool { return fin })
+	c.runWaiting(p, c.newTask(cat, 0, nil, run))
+}
+
+// runWaiting queues t and blocks p until t is done, then recycles t.
+func (c *Core) runWaiting(p *sim.Proc, t *task) {
+	t.waiter = true
+	c.enqueue(t)
+	for !t.done {
+		t.sig.Wait(p)
+	}
+	c.recycle(t)
 }

@@ -130,7 +130,9 @@ func (m *Memory) alloc(size, socket, backed int) *Buffer {
 // the next allocation of the same size reuses it (zeroed, under a
 // fresh Buffer with its own address, warmth and pin state), and
 // b.Data becomes nil so that any later use of b's bytes panics. Only a
-// fully backed buffer may be released, once. The spare backings are
+// fully backed, unpinned buffer may be released, once: a pin means the
+// registration cache or an in-flight transfer still holds the pages,
+// and the next allocation must not be handed them. The spare backings are
 // bounded by the most buffers of each size ever live at once; they are
 // freed with the Memory.
 func (m *Memory) Release(b *Buffer) {
@@ -139,6 +141,8 @@ func (m *Memory) Release(b *Buffer) {
 		panic("hostmem: double release of buffer")
 	case len(b.Data) != b.size:
 		panic(fmt.Sprintf("hostmem: release of partially backed buffer (%d of %d bytes)", len(b.Data), b.size))
+	case b.pinRef > 0:
+		panic(fmt.Sprintf("hostmem: release of pinned buffer (%d pins)", b.pinRef))
 	}
 	if b.size > 0 {
 		if m.spare == nil {

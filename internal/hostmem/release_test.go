@@ -26,9 +26,11 @@ func TestReleaseNilsData(t *testing.T) {
 	_ = b.Data[0]
 }
 
-// Release refuses anything but the one release of a fully backed
-// buffer: a second release would hand one backing to two buffers, and
-// a ring's partial backing is shorter than its size.
+// Release refuses anything but the one release of a fully backed,
+// unpinned buffer: a second release would hand one backing to two
+// buffers, a ring's partial backing is shorter than its size, and a
+// pinned buffer's pages are still held by the registration cache or
+// an in-flight transfer.
 func TestReleaseMisusePanics(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -40,6 +42,18 @@ func TestReleaseMisusePanics(t *testing.T) {
 			m.Release(b)
 		}},
 		{"partially backed ring", func(m *Memory) { m.Release(m.AllocRing(4, 4096).Buf) }},
+		{"pinned", func(m *Memory) {
+			b := m.Alloc(8192)
+			b.Pin()
+			m.Release(b)
+		}},
+		{"pinned twice, unpinned once", func(m *Memory) {
+			b := m.Alloc(8192)
+			b.Pin()
+			b.Pin()
+			b.Unpin()
+			m.Release(b)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, m := mem()

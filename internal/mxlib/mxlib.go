@@ -236,7 +236,9 @@ func (l *Lib[E]) matchPosted(match uint64) *Request {
 
 // deliver hands message m to the receive r that matched it: a
 // deferred transfer starts, an eager payload is copied out and the
-// receive completes.
+// receive completes. The payload's temporary storage (an unexpected
+// eager assembly buffer or an MX shared-memory segment) is released
+// once copied out, so the next message of its size reuses the backing.
 func (l *Lib[E]) deliver(p *sim.Proc, r *Request, m *Message) {
 	r.matched(m.Src, m.Match, m.Len)
 	if m.Start != nil {
@@ -246,6 +248,9 @@ func (l *Lib[E]) deliver(p *sim.Proc, r *Request, m *Message) {
 	if r.length > 0 {
 		d := l.h.Copy.Memcpy(r.Buf, r.Off, m.Tmp, 0, r.length, l.coreID)
 		l.core.RunOn(p, cpu.UserLib, d)
+	}
+	if m.Tmp != nil {
+		l.h.Mem.Release(m.Tmp)
 	}
 	r.done = true
 }

@@ -253,3 +253,55 @@ func TestClaimCopyMergedPrefixVersusPerFragment(t *testing.T) {
 		})
 	}
 }
+
+// A message's temporary storage is released once the receive copied
+// it out, so the next message of its size reuses the backing: an
+// unexpected eager message's assembly buffer, and a whole message
+// arriving in a segment the sender allocated (MX shared memory). Each
+// message carries its own bytes, and each delivery is byte-exact.
+func TestDeliveredTemporaryBackingReused(t *testing.T) {
+	const msgLen = 3 * fragSize
+	for _, tc := range []struct {
+		name   string
+		arrive func(fx *fixture, p *sim.Proc, seq uint32, match uint64)
+	}{
+		{"unexpected eager", func(fx *fixture, p *sim.Proc, seq uint32, match uint64) {
+			for id := 0; id < proto.MediumFragsOf(msgLen); id++ {
+				fx.lib.EagerFrag(p, frag("a", seq, match, msgLen, id))
+			}
+		}},
+		{"shared-memory segment", func(fx *fixture, p *sim.Proc, seq uint32, match uint64) {
+			seg := fx.h.Alloc(msgLen)
+			fx.h.Copy.Memcpy(seg, 0, fx.pattern, 0, msgLen, 0)
+			fx.lib.Arrive(p, &Message{Src: proto.Addr{Host: "a"}, Match: match, Len: msgLen, Tmp: seg})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := newFixture(t, true)
+			var backing [2]*byte
+			fx.run(func(p *sim.Proc) {
+				for i := 0; i < 2; i++ {
+					fx.pattern.Fill(byte(11 * (i + 1)))
+					match := uint64(i + 1)
+					tc.arrive(fx, p, uint32(i), match)
+					if len(fx.lib.ux) != 1 || fx.lib.ux[0].Tmp == nil {
+						t.Fatalf("message %d: %d unexpected messages, want 1 held in temporary storage", i, len(fx.lib.ux))
+					}
+					tmp := fx.lib.ux[0].Tmp
+					backing[i] = &tmp.Data[0]
+					dst := fx.h.Alloc(msgLen)
+					r := fx.lib.IRecv(p, match, ^uint64(0), dst, 0, msgLen)
+					if !r.Done() || !bytes.Equal(dst.Data, fx.pattern.Data[:msgLen]) {
+						t.Fatalf("message %d: done %v, delivered bytes differ from the sent ones", i, r.Done())
+					}
+					if tmp.Data != nil {
+						t.Fatalf("message %d: temporary storage not released after delivery", i)
+					}
+				}
+			})
+			if backing[0] != backing[1] {
+				t.Fatal("the second message did not reuse the first one's released backing")
+			}
+		})
+	}
+}

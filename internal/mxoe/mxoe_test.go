@@ -225,3 +225,41 @@ func BenchmarkPingPong1MB(b *testing.B) {
 	simMiB := float64(2*b.N*n) / (1 << 20)
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/simMiB, "B/simMiB")
 }
+
+// An intra-node message travels in a shared segment the sender
+// allocates; the receiving library releases it once copied out, so
+// later messages of the same size reuse that backing instead of
+// allocating their own. Every delivery is byte-exact.
+func TestShmSegmentReusedAcrossMessages(t *testing.T) {
+	const n = 256 << 10 // spans several shm chunks
+	pr := newPair(t, Config{})
+	to := pr.sa.OpenEndpoint(1, 3)
+	src, dst := pr.sa.H.Alloc(n), pr.sa.H.Alloc(n)
+	round := func(i int) uint64 {
+		src.Fill(byte(17 * i))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pr.e.Go("send", func(p *sim.Proc) {
+			pr.epA.Wait(p, pr.epA.ISend(p, to.Addr(), 5, src, 0, n))
+		})
+		pr.e.Go("recv", func(p *sim.Proc) {
+			to.Wait(p, to.IRecv(p, 5, ^uint64(0), dst, 0, n))
+		})
+		if pr.e.Run() != 0 {
+			t.Fatalf("round %d deadlocked: %v", i, pr.e.BlockedProcs())
+		}
+		runtime.ReadMemStats(&after)
+		if !hostmem.Equal(src, dst) {
+			t.Fatalf("round %d: payload corrupted", i)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if first := round(0); first < n {
+		t.Fatalf("first message allocated %d bytes, want at least its %d-byte segment", first, n)
+	}
+	for i := 1; i < 4; i++ {
+		if got := round(i); got >= n/2 {
+			t.Fatalf("message %d allocated %d bytes: its %d-byte segment did not reuse the released one", i, got, n)
+		}
+	}
+}

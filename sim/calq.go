@@ -9,11 +9,15 @@ package sim
 // O(1) appends and pops.
 //
 //   - Events due within wheelHorizon of the wheel base land in one of
-//     wheelBuckets fixed-width buckets, each a small slice kept sorted
-//     by (at, seq). Nearly every insert is a tail append (times are
-//     mostly nondecreasing within a bucket's 64 ns window) and every
-//     pop is a head read through a cursor, so the steady state touches
-//     no allocator at all.
+//     wheelBuckets fixed-width buckets. A bucket is a singly linked
+//     list of events, threaded through the pooled events' own next
+//     link. Every pop unlinks the head of the base bucket, which is
+//     kept sorted by (at, seq). A bucket further ahead is only ever
+//     appended to; if an append arrives out of order the bucket is
+//     flagged, and sorted in one pass (a stable split by nanosecond)
+//     when the base reaches it. The steady state touches no allocator
+//     at all, and a fresh engine allocates no per-bucket storage: its
+//     whole wheel is one 64 KiB array of head/tail pairs.
 //   - Events beyond the horizon (retransmit timers, experiment
 //     deadlines) go to a local min-heap ordered by the same (at, seq)
 //     key. As the wheel base advances, newly covered far events
@@ -56,7 +60,10 @@ type event struct {
 	wakeup    bool
 	gen       uint32 // bumped on recycle; Timers holding an older gen are stale
 	cancelled bool
-	next      *event // freelist link
+	// next links the event into whichever list holds it: its wheel
+	// bucket while scheduled, the freelist once recycled. Far-heap
+	// events are held by the heap slice and leave it nil.
+	next *event
 }
 
 // before reports whether e fires before o in the engine's total order.
@@ -67,10 +74,11 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
-// bucket is one wheel slot: evs[head:] is live, sorted by (at, seq).
+// bucket is one wheel slot: a list of events from head to tail, linked
+// through event.next and sorted by (at, seq) unless calq.unsorted flags
+// it. Both are nil when the bucket is empty.
 type bucket struct {
-	evs  []*event
-	head int
+	head, tail *event
 }
 
 // calq is the calendar queue. The zero value is ready to use (base 0).
@@ -82,6 +90,11 @@ type calq struct {
 	wheelN  int      // events currently in the wheel (cancelled included)
 	far     []*event // min-heap by (at, seq): everything ≥ base+wheelHorizon
 	free    *event   // recycled-event freelist
+
+	// unsorted marks buckets ahead of the base that took an event out
+	// of order; peek sorts such a bucket once, when the base reaches it.
+	unsorted [wheelBuckets / 64]uint64
+	byNs     [bucketWidth]bucket // sortBucket's per-nanosecond lists
 }
 
 // alloc hands out a pooled event, growing the slab only when the
@@ -123,18 +136,38 @@ func (q *calq) push(ev *event) {
 	q.siftUp(len(q.far) - 1)
 }
 
-// pushWheel slots an event into its bucket, keeping the bucket sorted
-// by (at, seq). seq grows monotonically, so an event whose time is not
-// earlier than the current tail simply appends — the common case.
+// pushWheel slots an event into its bucket. seq grows monotonically,
+// so an event whose time is not earlier than the bucket's tail simply
+// appends — the common case. An earlier one is appended too, and the
+// bucket flagged for one sort when the base reaches it, unless it is
+// the base bucket itself: that one stays sorted, and the event walks
+// from the head to its place (events due at the current instant, the
+// usual case there, sit near the head).
 func (q *calq) pushWheel(ev *event) {
 	idx := int(ev.at>>wheelShift) & wheelMask
 	b := &q.buckets[idx]
-	b.evs = append(b.evs, ev)
-	for i := len(b.evs) - 1; i > b.head && b.evs[i].before(b.evs[i-1]); i-- {
-		b.evs[i], b.evs[i-1] = b.evs[i-1], b.evs[i]
-	}
-	q.occ[idx>>6] |= 1 << (idx & 63)
 	q.wheelN++
+	if b.tail == nil {
+		ev.next = nil
+		b.head, b.tail = ev, ev
+		q.occ[idx>>6] |= 1 << (idx & 63)
+		return
+	}
+	if ev.before(b.tail) {
+		if idx == q.baseIdx {
+			link := &b.head
+			for !ev.before(*link) {
+				link = &(*link).next
+			}
+			ev.next = *link
+			*link = ev
+			return
+		}
+		q.unsorted[idx>>6] |= 1 << (idx & 63)
+	}
+	ev.next = nil
+	b.tail.next = ev
+	b.tail = ev
 }
 
 // pop removes and returns the earliest live event, or nil when the
@@ -180,19 +213,59 @@ func (q *calq) peek() *event {
 		q.baseIdx = idx
 		q.migrate()
 	}
+	if q.unsorted[idx>>6]&(1<<(idx&63)) != 0 {
+		q.sortBucket(idx)
+	}
+	return q.buckets[idx].head
+}
+
+// sortBucket puts bucket idx's list into (at, seq) order. A bucket
+// ahead of the base only ever appends: first the far events migrated
+// into it, in (at, seq) order, then newly scheduled ones, each with a
+// larger seq than all before it. Events with the same at are thus
+// already in seq order, and a stable split by the nanosecond within
+// the bucket's window (bucketWidth ≤ 64, one bit of used each) sorts
+// it in one pass.
+func (q *calq) sortBucket(idx int) {
 	b := &q.buckets[idx]
-	return b.evs[b.head]
+	var used uint64
+	for ev := b.head; ev != nil; {
+		next := ev.next
+		ev.next = nil
+		ns := ev.at & (bucketWidth - 1)
+		l := &q.byNs[ns]
+		if used&(1<<ns) == 0 {
+			used |= 1 << ns
+			l.head = ev
+		} else {
+			if ev.seq < l.tail.seq {
+				panic("sim: events of one instant appended out of seq order")
+			}
+			l.tail.next = ev
+		}
+		l.tail = ev
+		ev = next
+	}
+	b.head, b.tail = nil, nil
+	for ; used != 0; used &= used - 1 {
+		l := &q.byNs[bits.TrailingZeros64(used)]
+		if b.tail == nil {
+			b.head = l.head
+		} else {
+			b.tail.next = l.head
+		}
+		b.tail = l.tail
+	}
+	q.unsorted[idx>>6] &^= 1 << (idx & 63)
 }
 
 // remove discards the event peek returned (the head of the base
 // bucket).
 func (q *calq) remove() {
 	b := &q.buckets[q.baseIdx]
-	b.evs[b.head] = nil
-	b.head++
-	if b.head == len(b.evs) {
-		b.evs = b.evs[:0]
-		b.head = 0
+	b.head = b.head.next
+	if b.head == nil {
+		b.tail = nil
 		q.occ[q.baseIdx>>6] &^= 1 << (q.baseIdx & 63)
 	}
 	q.wheelN--

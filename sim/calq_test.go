@@ -213,10 +213,79 @@ func TestPropertyCalendarOrdering(t *testing.T) {
 	}
 }
 
+// Property: under a churn where firing events schedule more (at the
+// same instant, within and across buckets, beyond the horizon), cancel
+// some, and the clock advances in RunUntil slices, every live event
+// fires exactly once, in strictly increasing (time, seq) order, also
+// when RunUntil puts back the earliest of several same-instant events.
+// This covers buckets filled out of order ahead of the base, which are
+// sorted when the base reaches them, and the base bucket, which stays
+// sorted as events are pushed into it.
+func TestPropertyCalendarChurnOrdering(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		e := New()
+		type key struct {
+			at  Time
+			seq int
+		}
+		var fired []key
+		var timers []Timer
+		cancelled := 0
+		var schedule func()
+		schedule = func() {
+			var d Duration
+			switch rng.Intn(6) {
+			case 0:
+				d = 0
+			case 5:
+				// The next whole microsecond: many events share it.
+				d = Microsecond - e.Now()%Microsecond
+			case 1:
+				d = Duration(rng.Int63n(int64(bucketWidth)))
+			case 2:
+				d = Duration(rng.Int63n(int64(64 * bucketWidth)))
+			case 3:
+				d = Duration(rng.Int63n(int64(wheelHorizon)))
+			default:
+				d = Duration(rng.Int63n(int64(3 * wheelHorizon)))
+			}
+			seq := len(timers)
+			timers = append(timers, e.Schedule(d, func() {
+				fired = append(fired, key{e.Now(), seq})
+				for k := rng.Intn(3); k > 0 && len(timers) < 3000; k-- {
+					schedule()
+				}
+				if rng.Intn(8) == 0 && timers[rng.Intn(len(timers))].Stop() {
+					cancelled++
+				}
+			}))
+		}
+		for i := 0; i < 64; i++ {
+			schedule()
+		}
+		for e.Pending() > 0 {
+			e.RunUntil(e.Now() + Duration(rng.Int63n(int64(wheelHorizon))))
+		}
+		if len(fired) != len(timers)-cancelled {
+			return false
+		}
+		for i := 1; i < len(fired); i++ {
+			a, b := fired[i-1], fired[i]
+			if b.at < a.at || b.at == a.at && b.seq <= a.seq {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestEngineSteadyStateZeroAlloc is the alloc gate's test form: once
-// the event pool and the wheel buckets are warm (one full rotation of
-// the wheel at the churn's density), a schedule/fire churn must not
-// allocate. The CI benchmark gate enforces the same bound on the
+// the event pool is warm, a schedule/fire churn must not allocate, all
+// the way round the wheel. The CI benchmark gate enforces the same bound on the
 // benchmarks below via -benchmem.
 func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	e := New()
@@ -228,8 +297,7 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 		e.Run()
 	}
 	// Warm-up: each churn advances the clock ~96 ns, so ~3000 rounds
-	// sweep the full 262 µs wheel horizon and size every bucket slice
-	// to the churn's per-bucket density.
+	// sweep the full 262 µs wheel horizon.
 	for i := 0; i < 3000; i++ {
 		churn()
 	}
@@ -254,13 +322,36 @@ func TestWakeEventZeroAllocSteadyState(t *testing.T) {
 			e.live--
 		}
 	}
-	// Warm-up: sweep a full wheel rotation (262 µs) at the churn's
-	// density — each churn advances the clock only 63 ns.
+	// Warm-up: sweep a full wheel rotation (262 µs) — each churn
+	// advances the clock only 63 ns.
 	for i := 0; i < 6000; i++ {
 		churn()
 	}
 	if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
 		t.Fatalf("wake-event churn allocated %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// BenchmarkFreshEngine is the cost of a new engine whose events visit
+// every wheel bucket: a few timers stepping one bucket at a time round
+// the whole wheel. A bucket is a list threaded through the pooled
+// events, so this is the 64 KiB wheel array plus one event slab;
+// `make benchalloc` bounds its B/op.
+func BenchmarkFreshEngine(b *testing.B) {
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		e := New()
+		for i := 0; i < 4; i++ {
+			left := wheelBuckets
+			var step func()
+			step = func() {
+				if left--; left > 0 {
+					e.Schedule(bucketWidth+Duration(i), step)
+				}
+			}
+			e.Schedule(Duration(i), step)
+		}
+		e.Run()
 	}
 }
 

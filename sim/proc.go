@@ -36,6 +36,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		dead:   make(chan struct{}),
 	}
 	e.procs[p] = struct{}{}
+	e.stats.PeakProcs = max(e.stats.PeakProcs, len(e.procs))
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -83,6 +84,7 @@ func (p *Proc) step() {
 	if p.finished {
 		return
 	}
+	p.e.stats.Switches++
 	p.resume <- struct{}{}
 	<-p.yield
 }

@@ -17,9 +17,13 @@
 // The event queue is a calendar queue (timing wheel plus a far-future
 // heap, see calq.go) with pooled event records: the steady-state
 // schedule→fire→recycle cycle allocates nothing, which is what lets
-// 512-rank fat-tree worlds run inside CI. Service loops that
+// 512-rank fat-tree worlds run inside CI. Each wheel bucket is a list
+// of events linked through the pooled records themselves, so a fresh
+// engine allocates no per-bucket storage. Service loops that
 // legitimately never exit (NIC bottom halves) are started with GoDaemon
 // and excluded from deadlock accounting by flag rather than by name.
+// Engine.Stats counts what the engine itself did: events fired,
+// process switches, and the peak numbers of live events and procs.
 package sim
 
 import (
@@ -101,7 +105,21 @@ type Engine struct {
 	daemons int // live procs flagged as daemons
 	closing bool
 	running bool
+	stats   Stats
 }
+
+// Stats counts what an engine has done since New. The counts depend
+// only on the simulated program, so two identical runs report equal
+// Stats.
+type Stats struct {
+	Events     int64 // events fired; cancelled events are not counted
+	Switches   int64 // times control passed to a Proc and back
+	PeakEvents int   // most live (scheduled, non-cancelled) events at once
+	PeakProcs  int   // most started, unfinished Procs at once, daemons included
+}
+
+// Stats reports the engine's counters.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // New returns a ready-to-use engine at time zero.
 func New() *Engine {
@@ -162,6 +180,7 @@ func (e *Engine) push(t Time) *event {
 	ev.seq = e.seq
 	e.q.push(ev)
 	e.live++
+	e.stats.PeakEvents = max(e.stats.PeakEvents, e.live)
 	return ev
 }
 
@@ -175,6 +194,7 @@ func (e *Engine) fire(ev *event) {
 	fn, p, wakeup := ev.fn, ev.proc, ev.wakeup
 	e.q.recycle(ev)
 	e.live--
+	e.stats.Events++
 	switch {
 	case p != nil && wakeup:
 		p.wake()

@@ -369,3 +369,63 @@ func TestPendingCount(t *testing.T) {
 		t.Fatalf("Pending after Stop = %d", e.Pending())
 	}
 }
+
+// Stats counts fired events (not cancelled ones), process switches
+// and the live peaks.
+func TestStatsCounts(t *testing.T) {
+	e := New()
+	e.Go("a", func(p *Proc) {
+		p.Sleep(10)
+		p.Sleep(10)
+	})
+	e.Schedule(5, func() {})
+	e.Schedule(7, func() {}).Stop()
+	e.Run()
+	// a's start step, the 5 ns callback, and a wake plus a step per Sleep.
+	want := Stats{Events: 6, Switches: 3, PeakEvents: 3, PeakProcs: 1}
+	if got := e.Stats(); got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+}
+
+// Two identical runs report identical Stats: the counters describe
+// the simulated program, not the machine running it.
+func TestStatsDeterministic(t *testing.T) {
+	run := func(seed int64) Stats {
+		rng := rand.New(rand.NewSource(seed))
+		e := New()
+		defer e.Close()
+		s := NewSignal()
+		e.GoDaemon("poller", func(p *Proc) {
+			for {
+				s.Wait(p)
+			}
+		})
+		for i := 0; i < 16; i++ {
+			d := Duration(rng.Int63n(int64(2 * wheelHorizon)))
+			e.Go("p", func(p *Proc) {
+				p.Sleep(d)
+				s.Broadcast()
+				p.Yield()
+				p.Sleep(d / 3)
+			})
+			tm := e.Schedule(Duration(rng.Int63n(1000)), s.Broadcast)
+			if rng.Intn(3) == 0 {
+				tm.Stop()
+			}
+		}
+		if n := e.Run(); n != 0 {
+			t.Fatalf("seed %d: blocked procs %v", seed, e.BlockedProcs())
+		}
+		return e.Stats()
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		a, b := run(seed), run(seed)
+		if a != b {
+			t.Fatalf("seed %d: Stats differ between identical runs: %+v vs %+v", seed, a, b)
+		}
+		if a.Events == 0 || a.Switches == 0 || a.PeakEvents == 0 || a.PeakProcs != 17 {
+			t.Fatalf("seed %d: implausible Stats %+v", seed, a)
+		}
+	}
+}
