@@ -79,7 +79,11 @@ golden-check:
 # and their wait state are pooled per core. A fresh engine whose
 # events visit every wheel bucket must allocate at most 96 KiB: the
 # buckets are lists threaded through the pooled events, so the wheel
-# is one 64 KiB array and no bucket grows storage of its own.
+# is one 64 KiB array and no bucket grows storage of its own. A 256 KiB
+# Reduce on an 8-rank world with the registration cache must allocate
+# at most 512 KiB per call: each call's temporaries (≈2.3 MiB across
+# the ranks) are freed when it returns, which drops their cached
+# registrations, so the next call reuses their memory.
 benchalloc:
 	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkEventCoreCalendar' -benchmem ./sim); \
 	echo "$$out"; \
@@ -124,6 +128,13 @@ benchalloc:
 		END { \
 			if (runs != 2) { print "benchalloc: ping-pong benchmarks reported " runs + 0 " results, want 2" > "/dev/stderr"; exit 1 } \
 			if (bad != "") { print "benchalloc: 1 MiB ping-pong allocates B/simMiB:" bad ", want <= " max > "/dev/stderr"; exit 1 } }'
+	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkReduce256K$$' -benchtime 20x -benchmem ./mpi); \
+	echo "$$out"; \
+	echo "$$out" | awk -v max=524288 ' \
+		/^BenchmarkReduce256K/ { for (i = 2; i <= NF; i++) if ($$i == "B/op") { runs++; got = $$(i-1) } } \
+		END { \
+			if (runs != 1) { print "benchalloc: reduce benchmark reported " runs + 0 " results, want 1" > "/dev/stderr"; exit 1 } \
+			if (got + 0 > max) { print "benchalloc: a 256 KiB Reduce on 8 ranks allocates " got " B/op, want <= " max > "/dev/stderr"; exit 1 } }'
 
 ci-fast: build vet lint fmt-check test-short
 

@@ -344,6 +344,14 @@ func Equal(a, b *Buffer) bool { return hostmem.Equal(a.b, b.b) }
 // the placement-dependent curves of Figure 10 depend on it.
 func (b *Buffer) Produce(core int) { b.b.Touch(core, b.b.Size()) }
 
+// Free returns the buffer's memory to its host: a later allocation of
+// the same size reuses it, under a new Buffer with its own address,
+// cache warmth and pin state, and every registration-cache entry for
+// the buffer is dropped. Any later use of b panics. Free it only once
+// every send or receive that used it has completed; freeing a buffer
+// an in-flight transfer still pins panics, and so does freeing twice.
+func (b *Buffer) Free() { b.H.m.Mem.Release(b.b) }
+
 // Raw exposes the underlying buffer for in-module protocol packages.
 func (b *Buffer) Raw() *hostmem.Buffer { return b.b }
 

@@ -35,7 +35,9 @@
 //     reassembly and the Wait/Test/Progress engine). hostmem keeps the per-buffer memory-hierarchy
 //     ledgers — span coverage per L2 domain and L1, the DMA-cold and
 //     DCA-resident states, the NUMA home socket, and the per-stack
-//     LRU registration cache — all over a buffer's logical size, plus
+//     LRU registration cache, whose entries a buffer's release drops
+//     (invalidate-on-free; mpi frees its collective temporaries
+//     through cluster.Buffer.Free) — all over a buffer's logical size, plus
 //     the endpoint receive ring both stacks share (hostmem.Ring,
 //     backed slot by slot on first use) and a per-size spare list of
 //     released byte backings (Memory.Release: nic's Skb.Free returns
@@ -51,7 +53,9 @@
 //     reference: Open-MX eager fragments and both stacks' pull
 //     replies carry a slice of the pinned source, kept by the sender
 //     until the send completes (only MX eager, complete at post time,
-//     snapshots). Every per-peer transport decision both
+//     snapshots, recycled through a hostmem.Spares free list at the
+//     ack; firmware collective frames share the per-call payload).
+//     Every per-peer transport decision both
 //     stacks make lives once in internal/proto: the wire formats, the
 //     receive window and tx channel (sequence issue, cumulative acks
 //     with Karn-rule RTT samples, the backed-off retransmission

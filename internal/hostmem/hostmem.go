@@ -26,9 +26,41 @@ type Memory struct {
 	l2Clocks  []int64 // per L2 domain
 	l1Clocks  []int64 // per core
 	allocated int64
-	// spare holds the backings of released buffers by length, for the
-	// next allocation of that size to reuse (see Release).
-	spare map[int][][]byte
+	// spare holds the backings of released buffers, for the next
+	// allocation of their size to reuse (see Release).
+	spare Spares
+}
+
+// Spares keeps byte backings by exact length for reuse: Put files a
+// backing, Get hands back the one of that length filed last. Lengths
+// are exact (no size classes), so a Spares holds at most as many
+// backings of each length as were ever out at once. Memory keeps one
+// for released buffers; the MX firmware keeps one for its eager
+// snapshots.
+type Spares struct{ byLen map[int][][]byte }
+
+// Get returns a filed backing of length n with its old contents, or
+// nil when there is none.
+func (s *Spares) Get(n int) []byte {
+	free := s.byLen[n]
+	if len(free) == 0 {
+		return nil
+	}
+	b := free[len(free)-1]
+	s.byLen[n] = free[:len(free)-1]
+	return b
+}
+
+// Put files b for a later Get of its length. Empty backings are not
+// kept. The caller must hold no other reference that writes to b.
+func (s *Spares) Put(b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	if s.byLen == nil {
+		s.byLen = make(map[int][][]byte)
+	}
+	s.byLen[len(b)] = append(s.byLen[len(b)], b)
 }
 
 // New returns the memory system for a host described by p.
@@ -61,9 +93,13 @@ type Buffer struct {
 	Addr int64
 	Data []byte
 
-	size   int // logical size; len(Data) <= size
-	pinRef int
-	home   int // NUMA home socket of the backing pages
+	size   int   // logical size; len(Data) <= size
+	pinRef int32 // int32s keep the struct in its allocation size class
+	home   int32 // NUMA home socket of the backing pages
+	// regs lists the registration-cache entries that hold this buffer,
+	// one per cache, each owning one of the pin references (see
+	// RegCache). Release drops them.
+	regs *regEntry
 
 	lastCore    int   // -1 until first touch
 	l1TouchMark int64 // core L1 clock at last touch
@@ -109,16 +145,17 @@ func (m *Memory) alloc(size, socket, backed int) *Buffer {
 		panic(fmt.Sprintf("hostmem: alloc on socket %d of %d", socket, m.P.Sockets))
 	}
 	var data []byte
-	if free := m.spare[backed]; len(free) > 0 && backed == size {
-		data = free[len(free)-1]
-		m.spare[backed] = free[:len(free)-1]
+	if backed == size {
+		data = m.spare.Get(size)
+	}
+	if data != nil {
 		clear(data)
 	} else {
 		data = make([]byte, backed)
 	}
 	b := &Buffer{
 		Mem: m, Addr: m.nextAddr, Data: data, size: size,
-		lastCore: -1, home: socket, dcaDom: -1,
+		lastCore: -1, home: int32(socket), dcaDom: -1,
 		covL2: make([]int, m.P.L2Domains()),
 	}
 	m.nextAddr += int64(size) + int64(m.P.PageSize) // pad to keep addresses distinct
@@ -129,32 +166,41 @@ func (m *Memory) alloc(size, socket, backed int) *Buffer {
 // Release ends b's life: its backing goes back to the memory, where
 // the next allocation of the same size reuses it (zeroed, under a
 // fresh Buffer with its own address, warmth and pin state), and
-// b.Data becomes nil so that any later use of b's bytes panics. Only a
-// fully backed, unpinned buffer may be released, once: a pin means the
-// registration cache or an in-flight transfer still holds the pages,
-// and the next allocation must not be handed them. The spare backings are
-// bounded by the most buffers of each size ever live at once; they are
-// freed with the Memory.
+// b.Data becomes nil so that any later use of b's bytes panics.
+//
+// Freeing registered memory invalidates its registrations, as Open-MX
+// does when the application frees a buffer: every registration cache
+// holding b drops its entry and the pin that entry held, at no
+// simulated cost (RegCache.Stats lowers Resident and PinnedPages;
+// Hits, Misses and Evictions do not move). Any other pin means an
+// in-flight transfer still holds the pages, and the next allocation
+// must not be handed them: Release panics on it, as it does on a
+// second release and on a partially backed (ring) buffer, and then
+// leaves b and every cache untouched. The spare backings are bounded
+// by the most buffers of each size ever live at once; they are freed
+// with the Memory.
 func (m *Memory) Release(b *Buffer) {
+	cached := 0
+	for e := b.regs; e != nil; e = e.bufNext {
+		cached++
+	}
 	switch {
 	case b.Data == nil:
 		panic("hostmem: double release of buffer")
 	case len(b.Data) != b.size:
 		panic(fmt.Sprintf("hostmem: release of partially backed buffer (%d of %d bytes)", len(b.Data), b.size))
-	case b.pinRef > 0:
-		panic(fmt.Sprintf("hostmem: release of pinned buffer (%d pins)", b.pinRef))
+	case int(b.pinRef) > cached:
+		panic(fmt.Sprintf("hostmem: release of buffer pinned by a transfer (%d pins, %d cached)", b.pinRef, cached))
 	}
-	if b.size > 0 {
-		if m.spare == nil {
-			m.spare = make(map[int][][]byte)
-		}
-		m.spare[b.size] = append(m.spare[b.size], b.Data)
+	for b.regs != nil {
+		b.regs.rc.drop(b.regs)
 	}
+	m.spare.Put(b.Data)
 	b.Data = nil
 }
 
 // HomeSocket reports the NUMA node the buffer's pages live on.
-func (b *Buffer) HomeSocket() int { return b.home }
+func (b *Buffer) HomeSocket() int { return int(b.home) }
 
 // Size reports the buffer's logical length in bytes.
 func (b *Buffer) Size() int { return b.size }

@@ -14,10 +14,14 @@ import "omxsim/sim"
 // The cache holds one pin reference per resident region (taken via
 // Buffer.Pin at first acquire, released via Buffer.Unpin at
 // eviction), so cached buffers stay pinned exactly as the real
-// deferred-deregistration scheme keeps them.
+// deferred-deregistration scheme keeps them. A registration lives
+// until its LRU eviction or until its buffer is freed
+// (Memory.Release), which drops it from every cache at no simulated
+// cost — Open-MX's invalidate-on-free — so a cache only ever holds
+// live buffers.
 type RegCache struct {
-	max     int // maximum resident regions; 0 = unbounded
-	entries map[*Buffer]*regEntry
+	max      int // maximum resident regions; 0 = unbounded
+	resident int
 	// LRU list, most recent at the head. Sentinel-free doubly linked
 	// list; head/tail are nil when the cache is empty.
 	head, tail *regEntry
@@ -25,10 +29,17 @@ type RegCache struct {
 	stats RegStats
 }
 
+// regEntry is one cached registration. It sits on two lists: its
+// cache's LRU list (prev/next) and its buffer's list of registrations
+// (bufNext, headed by Buffer.regs), which is how a cache finds a
+// buffer's entry and how Release finds every cache holding a buffer,
+// with no map and no allocation beyond the entry itself.
 type regEntry struct {
+	rc         *RegCache
 	buf        *Buffer
 	pages      int64
 	prev, next *regEntry
+	bufNext    *regEntry
 }
 
 // RegStats is a deterministic snapshot of registration-cache
@@ -39,7 +50,8 @@ type RegStats struct {
 	// did not find, the buffer resident; they sum to the number of
 	// posts that consulted the cache.
 	Hits, Misses int64
-	// Evictions counts regions deregistered to honour the LRU bound.
+	// Evictions counts regions deregistered to honour the LRU bound
+	// (a registration dropped because its buffer was freed is not one).
 	Evictions int64
 	// Resident is the number of currently cached regions;
 	// PinnedPages the pages they keep pinned.
@@ -50,7 +62,17 @@ type RegStats struct {
 // NewRegCache returns a registration cache bounded to maxEntries
 // resident regions (0 = unbounded, classic Open-MX behaviour).
 func NewRegCache(maxEntries int) *RegCache {
-	return &RegCache{max: maxEntries, entries: make(map[*Buffer]*regEntry)}
+	return &RegCache{max: maxEntries}
+}
+
+// entry returns rc's registration of buf, or nil.
+func (rc *RegCache) entry(buf *Buffer) *regEntry {
+	for e := buf.regs; e != nil; e = e.bufNext {
+		if e.rc == rc {
+			return e
+		}
+	}
+	return nil
 }
 
 // Acquire registers the n-byte region of buf if it is not already
@@ -60,7 +82,7 @@ func NewRegCache(maxEntries int) *RegCache {
 // acquisition forced. The pin cost is therefore paid exactly once per
 // residency of a region, on the post that faulted it in.
 func (rc *RegCache) Acquire(buf *Buffer, n int) (pinPages, unpinPages int64) {
-	if e := rc.entries[buf]; e != nil {
+	if e := rc.entry(buf); e != nil {
 		rc.stats.Hits++
 		rc.moveToFront(e)
 		return 0, 0
@@ -68,12 +90,16 @@ func (rc *RegCache) Acquire(buf *Buffer, n int) (pinPages, unpinPages int64) {
 	rc.stats.Misses++
 	buf.Pin()
 	pages := pagesSpanned(buf, n)
-	e := &regEntry{buf: buf, pages: pages}
-	rc.entries[buf] = e
+	e := &regEntry{rc: rc, buf: buf, pages: pages, bufNext: buf.regs}
+	buf.regs = e
+	rc.resident++
 	rc.pushFront(e)
 	rc.stats.PinnedPages += pages
-	for rc.max > 0 && len(rc.entries) > rc.max {
-		unpinPages += rc.evictLRU()
+	for rc.max > 0 && rc.resident > rc.max {
+		pages := rc.tail.pages
+		rc.drop(rc.tail)
+		rc.stats.Evictions++
+		unpinPages += pages
 	}
 	return pages, unpinPages
 }
@@ -111,26 +137,29 @@ func pagesSpanned(buf *Buffer, n int) int64 {
 	return int64((max(n, 1) + ps - 1) / ps)
 }
 
-// evictLRU deregisters the least-recently-used region and reports its
-// page count.
-func (rc *RegCache) evictLRU() int64 {
-	e := rc.tail
+// drop deregisters e — an LRU eviction or its buffer's release —
+// unlinking it from both of its lists and returning its pin.
+func (rc *RegCache) drop(e *regEntry) {
 	rc.unlink(e)
-	delete(rc.entries, e.buf)
+	link := &e.buf.regs
+	for *link != e {
+		link = &(*link).bufNext
+	}
+	*link = e.bufNext
+	e.bufNext = nil
 	e.buf.Unpin()
-	rc.stats.Evictions++
+	rc.resident--
 	rc.stats.PinnedPages -= e.pages
-	return e.pages
 }
 
 // Resident reports whether the buffer currently holds a cached
 // registration.
-func (rc *RegCache) Resident(buf *Buffer) bool { return rc.entries[buf] != nil }
+func (rc *RegCache) Resident(buf *Buffer) bool { return rc.entry(buf) != nil }
 
 // Stats snapshots the cache counters.
 func (rc *RegCache) Stats() RegStats {
 	st := rc.stats
-	st.Resident = len(rc.entries)
+	st.Resident = rc.resident
 	return st
 }
 

@@ -1,6 +1,7 @@
 package hostmem
 
 import (
+	"fmt"
 	"testing"
 
 	"omxsim/platform"
@@ -128,5 +129,136 @@ func TestRegCachePageAccounting(t *testing.T) {
 	}
 	if st := rc.Stats(); st.PinnedPages != 2 || st.Resident != 1 {
 		t.Fatalf("PinnedPages/Resident = %d/%d, want 2/1", st.PinnedPages, st.Resident)
+	}
+}
+
+// Freeing a registered buffer invalidates its registration, as
+// Open-MX does on free: the entry, its pin and its pages leave the
+// cache, and the hit and miss counts (what the simulated pin costs
+// follow) do not move.
+func TestReleaseInvalidatesRegistration(t *testing.T) {
+	p := platform.Clovertown()
+	m := New(p)
+	rc := NewRegCache(0)
+	keep, b := m.Alloc(2*4096), m.Alloc(3*4096)
+	rc.Acquire(keep, 2*4096)
+	rc.Acquire(b, 3*4096)
+	rc.Acquire(b, 3*4096)
+	before := rc.Stats()
+	m.Release(b)
+	st := rc.Stats()
+	if rc.Resident(b) || b.Pinned() {
+		t.Fatalf("released buffer: resident %v, pinned %v", rc.Resident(b), b.Pinned())
+	}
+	if st.Resident != 1 || st.PinnedPages != 2 {
+		t.Fatalf("Resident/PinnedPages = %d/%d, want 1/2", st.Resident, st.PinnedPages)
+	}
+	if st.Hits != before.Hits || st.Misses != before.Misses || st.Evictions != 0 {
+		t.Fatalf("hits/misses/evictions %d/%d/%d, want %d/%d/0",
+			st.Hits, st.Misses, st.Evictions, before.Hits, before.Misses)
+	}
+	// The same-size allocation that reuses the backing is a new
+	// buffer: its first post misses and pays the pin again.
+	again := m.Alloc(3 * 4096)
+	if pp, _ := rc.Acquire(again, 3*4096); pp != 3 {
+		t.Fatalf("post on the reallocated buffer pinned %d pages, want a 3-page miss", pp)
+	}
+	if !rc.Resident(keep) || !keep.Pinned() {
+		t.Fatal("releasing one buffer dropped another's registration")
+	}
+}
+
+// A buffer registered with two caches (two stacks on one host) is
+// dropped from both, each returning its own pin.
+func TestReleaseInvalidatesEveryCache(t *testing.T) {
+	p := platform.Clovertown()
+	m := New(p)
+	rc1, rc2 := NewRegCache(0), NewRegCache(4)
+	b := m.Alloc(4096)
+	rc1.Acquire(b, 4096)
+	rc2.Acquire(b, 4096)
+	if b.pinRef != 2 {
+		t.Fatalf("two registrations hold %d pins, want 2", b.pinRef)
+	}
+	m.Release(b)
+	for i, rc := range []*RegCache{rc1, rc2} {
+		if st := rc.Stats(); st.Resident != 0 || st.PinnedPages != 0 || rc.Resident(b) {
+			t.Fatalf("cache %d after release: %+v, resident %v", i+1, st, rc.Resident(b))
+		}
+	}
+	if b.Pinned() {
+		t.Fatal("released buffer still pinned")
+	}
+}
+
+// Invalidating the head, the middle or the tail of a bounded cache's
+// LRU list leaves the rest in order: the evictions that follow take
+// the survivors oldest first, and no buffer is unpinned twice (Unpin
+// panics on underflow).
+func TestInvalidationKeepsLRUOrder(t *testing.T) {
+	for _, drop := range []int{0, 1, 2} { // oldest (tail), middle, newest (head)
+		t.Run(fmt.Sprint(drop), func(t *testing.T) {
+			p := platform.Clovertown()
+			m := New(p)
+			rc := NewRegCache(3)
+			bufs := []*Buffer{m.Alloc(4096), m.Alloc(4096), m.Alloc(4096)}
+			for _, b := range bufs {
+				rc.Acquire(b, 4096)
+			}
+			m.Release(bufs[drop])
+			var survivors []*Buffer
+			for i, b := range bufs {
+				if i != drop {
+					survivors = append(survivors, b)
+				}
+			}
+			// One post fits in the freed slot; each later one evicts
+			// the oldest survivor.
+			rc.Acquire(m.Alloc(4096), 4096)
+			for i, want := range survivors {
+				if _, up := rc.Acquire(m.Alloc(4096), 4096); up != 1 {
+					t.Fatalf("post %d evicted %d pages, want 1", i, up)
+				}
+				if rc.Resident(want) || want.Pinned() {
+					t.Fatalf("post %d did not evict survivor %d (the oldest)", i, i)
+				}
+				for _, later := range survivors[i+1:] {
+					if !rc.Resident(later) || !later.Pinned() {
+						t.Fatalf("post %d evicted a newer survivor", i)
+					}
+				}
+			}
+			if st := rc.Stats(); st.Resident != 3 || st.PinnedPages != 3 || st.Evictions != 2 {
+				t.Fatalf("stats %+v, want 3 resident, 3 pages, 2 evictions", st)
+			}
+		})
+	}
+}
+
+// A buffer that a transfer still pins cannot be freed even when a
+// cache holds it too: Release panics and leaves the registration in
+// place. Once the transfer unpins, Release drops it.
+func TestReleasePinnedByTransferKeepsRegistration(t *testing.T) {
+	p := platform.Clovertown()
+	m := New(p)
+	rc := NewRegCache(0)
+	b := m.Alloc(2 * 4096)
+	rc.Acquire(b, 2*4096)
+	b.Pin() // an in-flight transfer
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("release of a transfer-pinned, cached buffer did not panic")
+			}
+		}()
+		m.Release(b)
+	}()
+	if st := rc.Stats(); st.Resident != 1 || st.PinnedPages != 2 || !rc.Resident(b) || b.Data == nil {
+		t.Fatalf("failed release changed state: %+v, resident %v, data %v", st, rc.Resident(b), b.Data != nil)
+	}
+	b.Unpin()
+	m.Release(b)
+	if st := rc.Stats(); st.Resident != 0 || st.PinnedPages != 0 || b.Pinned() {
+		t.Fatalf("after the transfer unpinned: %+v, pinned %v", st, b.Pinned())
 	}
 }

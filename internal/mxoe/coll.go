@@ -98,7 +98,9 @@ type CollGroup struct {
 // group defined by members — every rank's endpoint address in rank
 // order. All members derive the same group ID locally; no wire
 // traffic is needed. Frames that raced ahead of the join are drained
-// into the new group.
+// into the new group. The group keeps members rather than a copy, so
+// every member of a world can join with one shared list; the caller
+// must not modify it afterwards.
 func (ep *Endpoint) CollJoin(members []proto.Addr) *CollGroup {
 	s := ep.S
 	key := collKey{id: collGroupID(members), ep: ep.ID}
@@ -117,7 +119,7 @@ func (ep *Endpoint) CollJoin(members []proto.Addr) *CollGroup {
 		panic(fmt.Sprintf("mxoe: endpoint %v is not in the collective member list", self))
 	}
 	g := &CollGroup{
-		ep: ep, id: key.id, members: append([]proto.Addr(nil), members...), me: me,
+		ep: ep, id: key.id, members: members, me: me,
 		calls: make(map[uint32]*collCall),
 		done:  make(map[uint32]bool),
 	}
@@ -243,8 +245,6 @@ func (g *CollGroup) post(p *sim.Proc, op proto.CollOp, root int, sbuf *hostmem.B
 		// host buffer is immediately reusable).
 		c.contrib = make([]byte, n)
 		copy(c.contrib, sbuf.Data[soff:soff+n])
-	} else {
-		c.contrib = make([]byte, n)
 	}
 	if op == proto.CollBcast {
 		if g.me == root {
@@ -739,14 +739,16 @@ func (s *Stack) collMaybeRetire(c *collCall) {
 
 // collSendVec originates every fragment of a payload to one member
 // (fragments already sent — e.g. forwarded at arrival — are skipped).
+// Each frame carries a capped slice of payload — the call's contrib
+// or acc, written once before the first send and never after — so a
+// fan-out to several children shares one copy of the bytes.
 func (s *Stack) collSendVec(c *collCall, dst int, down bool, payload []byte) {
 	for fid := 0; fid < c.frags; fid++ {
 		off := fid * proto.MediumFragSize
 		ln := collFragLen(c.n, fid)
 		var data []byte
 		if ln > 0 {
-			data = make([]byte, ln)
-			copy(data, payload[off:off+ln])
+			data = payload[off : off+ln : off+ln]
 		}
 		s.collOutSend(c, collOutKey{dst: dst, down: down, frag: fid}, &proto.CollData{
 			Src: c.g.ep.Addr(), Dst: c.g.members[dst], Group: c.g.id, Seq: c.seq,
@@ -765,23 +767,20 @@ func (s *Stack) collFanout(c *collCall, payload []byte) {
 
 // collForwardFrag relays one arrived down fragment to every child
 // immediately — per-fragment store-and-forward, so deep trees
-// pipeline instead of waiting for whole payloads.
+// pipeline instead of waiting for whole payloads. Every child's frame
+// carries the arrived payload itself: it is the sending NIC's per-call
+// bytes, which nothing writes after they are sent.
 func (s *Stack) collForwardFrag(c *collCall, m *proto.CollData, data []byte) {
 	for _, child := range c.children {
 		key := collOutKey{dst: child, down: true, frag: m.FragID}
 		if c.outs[key] != nil {
 			continue
 		}
-		var payload []byte
-		if len(data) > 0 {
-			payload = make([]byte, len(data))
-			copy(payload, data)
-		}
 		s.collOutSend(c, key, &proto.CollData{
 			Src: c.g.ep.Addr(), Dst: c.g.members[child], Group: c.g.id, Seq: c.seq,
 			Op: c.op, Down: true, SrcRank: c.g.me, Root: c.root, MsgLen: m.MsgLen,
 			FragID: m.FragID, FragCount: m.FragCount, Offset: m.Offset,
-		}, payload)
+		}, data)
 	}
 }
 

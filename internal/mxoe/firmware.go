@@ -77,7 +77,10 @@ func (s *Stack) deposit(ep *Endpoint, buf *hostmem.Buffer, n int) {
 }
 
 // fwAck applies a (cumulative) transport ack to the sending
-// endpoint's channel, releasing retransmission snapshots.
+// endpoint's channel and recycles the acked messages' snapshots. A
+// covered message is complete at its receiver, which drops any late
+// duplicate of its frames before reading the payload, so a snapshot
+// that a duplicate still references may carry a later send's bytes.
 func (s *Stack) fwAck(m *proto.Ack) {
 	ep := s.endpoints[m.Src.EP]
 	if ep == nil {
@@ -89,6 +92,11 @@ func (s *Stack) fwAck(m *proto.Ack) {
 	}
 	now := s.H.E.Now()
 	acked, sample := tc.Ack(m.AckSeq, now)
+	for _, u := range acked {
+		for _, load := range u.loads {
+			s.snaps.Put(load)
+		}
+	}
 	if s.Trace != nil {
 		for _, u := range acked {
 			s.Trace(core.TraceEvent{Kind: "eager", Frag: -1, Seq: u.Seq, Lane: s.laneOf(u.Seq, 0), Start: u.SentAt, End: now})
@@ -144,11 +152,14 @@ func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
 		delete(ch.asm, m.Seq)
 		ch.win.MarkComplete(m.Seq)
 	}
+	// The payload bytes land in the slot now: once this fragment
+	// completes its message, a cumulative ack may release the sender's
+	// snapshot (or aliased source) before the modelled DMA finishes.
 	n := len(f.Data)
+	off := ep.ring.Off(slot)
+	copy(ep.ring.Buf.Data[off:off+n], f.Data)
 	firmwareMatch := sim.Duration(s.H.P.MXFirmwareMatchCost)
 	s.H.E.Schedule(firmwareMatch+s.dmaDelayTo(ep.ring.Buf, n), func() {
-		off := ep.ring.Off(slot)
-		copy(ep.ring.Buf.Data[off:off+n], f.Data)
 		s.deposit(ep, ep.ring.Buf, n)
 		ep.Push(&event{kind: evEagerFrag, Frag: mxlib.Frag{
 			Src: m.Src, Match: m.Match, Seq: m.Seq, MsgLen: m.MsgLen,

@@ -137,6 +137,12 @@ type Stack struct {
 	// when disabled.
 	reg *hostmem.RegCache
 
+	// snaps recycles eager-fragment snapshots: ISend takes one per
+	// fragment and fwAck files it back once the peer's cumulative ack
+	// covers its message, so a steady stream of same-size sends reuses
+	// the same few backings.
+	snaps hostmem.Spares
+
 	Stats Stats
 }
 
@@ -353,7 +359,9 @@ func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostme
 		}
 		var payload []byte
 		if fl > 0 {
-			payload = make([]byte, fl)
+			if payload = s.snaps.Get(fl); payload == nil {
+				payload = make([]byte, fl)
+			}
 			copy(payload, buf.Data[off+fo:off+fo+fl])
 		}
 		m := &proto.Eager{
@@ -368,7 +376,8 @@ func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostme
 	}
 	s.Stats.EagerSent++
 	// The firmware keeps the frame snapshots until the peer's
-	// cumulative ack covers them, retransmitting on timeout.
+	// cumulative ack covers them, retransmitting on timeout; fwAck
+	// then recycles them.
 	tc.Unacked = append(tc.Unacked, u)
 	ep.armEagerRtx(tc)
 	// Eager sends complete at post time: the NIC has snapshot the data

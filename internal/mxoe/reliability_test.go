@@ -1,12 +1,14 @@
 package mxoe
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"omxsim/internal/host"
 	"omxsim/internal/hostmem"
 	"omxsim/internal/mxlib"
+	"omxsim/internal/proto"
 	"omxsim/internal/wire"
 	"omxsim/platform"
 	"omxsim/sim"
@@ -230,4 +232,92 @@ func pr3(t *testing.T, e *sim.Engine) *threeToOne {
 	out.recvStack = mk("rcv")
 	out.recvEP = out.recvStack.OpenEndpoint(0, 2)
 	return out
+}
+
+// Eager snapshots are recycled at the cumulative ack and never
+// before. Over a link that loses, duplicates and reorders frames, the
+// sender posts bursts of three-fragment messages, overwriting its
+// source after each post, and pauses between bursts so acks land.
+// At every post, the still-unacked messages' snapshots must use
+// pairwise distinct backings that still hold their own message's
+// bytes; every delivery must be byte-exact; and the sends after an
+// ack must reuse the backings it released.
+func TestEagerSnapshotRecycledOnlyAfterAck(t *testing.T) {
+	pr := impairPair(t, rtxCfg(), wire.Impairment{
+		Seed: 29, LossRate: 0.05, DupRate: 0.2, ReorderRate: 0.2,
+		ReorderDelay: 20 * sim.Microsecond, JitterMax: 3 * sim.Microsecond,
+	})
+	const count = 48
+	n := 2*proto.MediumFragSize + 100
+	src := pr.sa.H.Alloc(n)
+	pattern := make([][]byte, count)
+	dsts := make([]*hostmem.Buffer, count)
+	for i := range pattern {
+		src.Fill(byte(i + 1))
+		pattern[i] = append([]byte(nil), src.Data...)
+		dsts[i] = pr.sb.H.Alloc(n)
+	}
+	msgOf := make(map[*mxUnacked]int)
+	// Every backing ever used, held so that the Go allocator cannot
+	// hand its address to a later make: equal addresses are reuse.
+	seen := make(map[*byte][]byte)
+	reused := 0
+	pr.e.Go("recv", func(p *sim.Proc) {
+		for i := 0; i < count; i++ {
+			pr.epB.Wait(p, pr.epB.IRecv(p, uint64(i), ^uint64(0), dsts[i], 0, n))
+		}
+	})
+	pr.e.Go("send", func(p *sim.Proc) {
+		tc := pr.epA.mxTx(pr.epB.Addr())
+		for i := 0; i < count; i++ {
+			copy(src.Data, pattern[i])
+			pr.epA.Wait(p, pr.epA.ISend(p, pr.epB.Addr(), uint64(i), src, 0, n))
+			src.Fill(0xEE)
+			u := tc.Unacked[len(tc.Unacked)-1]
+			msgOf[u] = i
+			for _, load := range u.loads {
+				if _, ok := seen[&load[0]]; ok {
+					reused++
+				}
+				seen[&load[0]] = load
+			}
+			owner := make(map[*byte]int)
+			for _, v := range tc.Unacked {
+				m := msgOf[v]
+				for f, load := range v.loads {
+					if o, dup := owner[&load[0]]; dup {
+						t.Errorf("post %d: unacked messages %d and %d share a snapshot backing", i, o, m)
+						return
+					}
+					owner[&load[0]] = m
+					off := f * proto.MediumFragSize
+					if !bytes.Equal(load, pattern[m][off:off+len(load)]) {
+						t.Errorf("post %d: unacked message %d's fragment %d snapshot was overwritten", i, m, f)
+						return
+					}
+				}
+			}
+			if i%4 == 3 {
+				p.Sleep(5 * sim.Millisecond) // past the 2 ms retransmit timeout
+			}
+		}
+	})
+	pr.e.RunUntil(pr.e.Now() + 30*sim.Second)
+	if t.Failed() {
+		return
+	}
+	for i, d := range dsts {
+		if !bytes.Equal(d.Data, pattern[i]) {
+			t.Fatalf("message %d delivered wrong bytes", i)
+		}
+	}
+	checkRingsDrained(t, pr.epA, pr.epB)
+	if pr.sb.Stats.DupFrags == 0 || pr.sa.Stats.EagerRetransmits == 0 {
+		t.Fatalf("the link exercised no duplicates or retransmits: A=%+v B=%+v", pr.sa.Stats, pr.sb.Stats)
+	}
+	t.Logf("%d of %d snapshots reused a backing; %d distinct backings", reused, 3*count, len(seen))
+	if reused < count {
+		t.Fatalf("%d of %d snapshots reused a released backing (%d distinct backings); want at least %d",
+			reused, 3*count, len(seen), count)
+	}
 }

@@ -15,7 +15,10 @@
 // reserves one fresh 256-value tag block via nextCollTag (all ranks
 // call collectives in the same order, an MPI requirement, so their
 // counters agree); phases inside one call use globally unique
-// sub-channel constants below the block.
+// sub-channel constants below the block. Every per-call temporary
+// buffer is freed (cluster.Buffer.Free) when the call returns, after
+// every send and receive on it completed, so the next call's
+// temporaries of the same size reuse its memory.
 package mpi
 
 import (
@@ -501,9 +504,11 @@ func (r *Rank) reduceBinomial(tag, root int, sbuf, rbuf *cluster.Buffer, n int) 
 	p := r.Size()
 	// Accumulate into a local temporary.
 	acc := r.Host.Alloc(n)
+	defer acc.Free()
 	copy(acc.Bytes(), sbuf.Bytes()[:n])
 	vr := (r.ID - root + p) % p
 	tmp := r.Host.Alloc(n)
+	defer tmp.Free()
 	for k := 1; k < p; k <<= 1 {
 		if vr&k != 0 {
 			r.Send(vrank(vr&^k, root, p), tag, acc, 0, n)
@@ -532,6 +537,7 @@ func (r *Rank) reduceRSGather(tag, root int, sbuf, rbuf *cluster.Buffer, n int) 
 		return
 	}
 	acc := r.Host.Alloc(n)
+	defer acc.Free()
 	copy(acc.Bytes(), sbuf.Bytes()[:n])
 	r.ringReduceScatter(tag|subReduceRS, acc, n)
 	// After the ring, rank i holds the fully reduced chunk (i+1) mod p.
@@ -566,6 +572,7 @@ func (r *Rank) ringReduceScatter(tag int, acc *cluster.Buffer, n int) {
 	left := (r.ID - 1 + p) % p
 	maxChunk := (n/8 + p - 1) / p * 8 // upper bound on any chunk size
 	tmp := r.Host.Alloc(maxChunk)
+	defer tmp.Free()
 	for step := 0; step < p-1; step++ {
 		sendC := ((r.ID-step)%p + p) % p
 		recvC := ((r.ID-step-1)%p + p) % p
@@ -626,6 +633,7 @@ func (r *Rank) allreduceRD(tag int, sbuf, rbuf *cluster.Buffer, n int) {
 	p, id := r.Size(), r.ID
 	copy(rbuf.Bytes()[:n], sbuf.Bytes()[:n])
 	tmp := r.Host.Alloc(n)
+	defer tmp.Free()
 	pof2 := floorPow2(p)
 	rem := p - pof2
 	newID := -1
@@ -720,7 +728,9 @@ func (r *Rank) scanRD(tag int, sbuf, rbuf *cluster.Buffer, n int) {
 	p, id := r.Size(), r.ID
 	copy(rbuf.Bytes()[:n], sbuf.Bytes()[:n])
 	snap := r.Host.Alloc(max(n, 1))
+	defer snap.Free()
 	tmp := r.Host.Alloc(max(n, 1))
+	defer tmp.Free()
 	for d := 1; d < p; d <<= 1 {
 		copy(snap.Bytes()[:n], rbuf.Bytes()[:n])
 		var sreq, rreq openmx.Request
@@ -753,6 +763,9 @@ func (r *Rank) ReduceScatter(sbuf, rbuf *cluster.Buffer, chunk int) {
 	}
 	r.Reduce(0, sbuf, full, total)
 	r.Scatter(0, full, chunk, rbuf)
+	if full != nil {
+		full.Free()
+	}
 }
 
 // ---------------------------------------------------------------
@@ -886,8 +899,11 @@ func (r *Rank) alltoallPairwise(tag int, sbuf *cluster.Buffer, n int, rbuf *clus
 func (r *Rank) alltoallBruck(tag int, sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
 	p, id := r.Size(), r.ID
 	tmp := r.Host.Alloc(p * n)
+	defer tmp.Free()
 	pack := r.Host.Alloc((p/2 + 1) * n)
+	defer pack.Free()
 	unpack := r.Host.Alloc((p/2 + 1) * n)
+	defer unpack.Free()
 	for i := 0; i < p; i++ {
 		src := (id + i) % p
 		copy(tmp.Bytes()[i*n:(i+1)*n], sbuf.Bytes()[src*n:(src+1)*n])
@@ -1044,6 +1060,7 @@ func (r *Rank) gatherBinomial(tag, root int, sbuf *cluster.Buffer, n int, rbuf *
 	vr := (r.ID - root + p) % p
 	ext := subtreeExtent(vr, p)
 	tmp := r.Host.Alloc(ext * n)
+	defer tmp.Free()
 	copy(tmp.Bytes()[:n], sbuf.Bytes()[:n])
 	for mask := 1; mask < p; mask <<= 1 {
 		if vr&mask != 0 {
@@ -1121,6 +1138,7 @@ func (r *Rank) scatterBinomial(tag, root int, sbuf *cluster.Buffer, n int, rbuf 
 	vr := (r.ID - root + p) % p
 	ext := subtreeExtent(vr, p)
 	tmp := r.Host.Alloc(ext * n)
+	defer tmp.Free()
 	mask := 1
 	if vr == 0 {
 		for v := 0; v < p; v++ {

@@ -45,6 +45,9 @@ type World struct {
 	// cap across them (resolved once, at the first collective).
 	nicCap *bool
 	nicMax int
+	// nicMembers is the firmware collective member list (every rank's
+	// endpoint address in rank order), shared by every rank's group.
+	nicMembers []openmx.Addr
 }
 
 // NewWorld returns an empty world on the cluster.

@@ -56,12 +56,20 @@ func (r *Rank) nicColl() openmx.CollGroup {
 	if !ok {
 		panic(fmt.Sprintf("mpi: rank %d endpoint (%T) does not support NIC-offloaded collectives", r.ID, r.EP))
 	}
-	members := make([]openmx.Addr, r.Size())
-	for i := range members {
-		members[i] = r.w.ranks[i].EP.Addr()
-	}
-	r.nicGroup = cc.CollJoin(members)
+	r.nicGroup = cc.CollJoin(r.w.collMembers())
 	return r.nicGroup
+}
+
+// collMembers returns every rank's endpoint address in rank order,
+// built once per world: every rank's group shares the one list.
+func (w *World) collMembers() []openmx.Addr {
+	if w.nicMembers == nil {
+		w.nicMembers = make([]openmx.Addr, len(w.ranks))
+		for i, r := range w.ranks {
+			w.nicMembers[i] = r.EP.Addr()
+		}
+	}
+	return w.nicMembers
 }
 
 // BarrierNIC runs the firmware-offloaded barrier regardless of

@@ -135,7 +135,8 @@ type CollGroup interface {
 // offloaded collectives (the native MXoE stack). CollJoin registers a
 // group from the full member list — every participant's endpoint
 // address in rank order; all members derive the same group identity
-// locally, with no wire traffic. Callers select offload by
+// locally, with no wire traffic. The group may keep the member slice,
+// so callers must not modify it after the join. Callers select offload by
 // type-asserting this interface (mpi.Tuning's Offload dimension does
 // exactly that).
 type CollCapable interface {
