@@ -93,8 +93,12 @@ type Buffer struct {
 	Addr int64
 	Data []byte
 
-	size   int   // logical size; len(Data) <= size
-	pinRef int32 // int32s keep the struct in its allocation size class
+	size int // logical size; len(Data) <= size
+	// pinRef and home are int32 so that Buffer, with regs, stays at
+	// 160 bytes, one allocation size class: at 168 bytes every buffer
+	// takes a 176-byte slot, which raises the allocation per simulated
+	// byte of a large ping-pong measurably.
+	pinRef int32
 	home   int32 // NUMA home socket of the backing pages
 	// regs lists the registration-cache entries that hold this buffer,
 	// one per cache, each owning one of the pin references (see
@@ -173,12 +177,13 @@ func (m *Memory) alloc(size, socket, backed int) *Buffer {
 // holding b drops its entry and the pin that entry held, at no
 // simulated cost (RegCache.Stats lowers Resident and PinnedPages;
 // Hits, Misses and Evictions do not move). Any other pin means an
-// in-flight transfer still holds the pages, and the next allocation
-// must not be handed them: Release panics on it, as it does on a
-// second release and on a partially backed (ring) buffer, and then
-// leaves b and every cache untouched. The spare backings are bounded
-// by the most buffers of each size ever live at once; they are freed
-// with the Memory.
+// in-flight transfer still holds the pages (a transfer pins from
+// RegCache.PinCost to UnpinCost, through a cache too), and the next
+// allocation must not be handed them: Release panics on it, as it
+// does on a second release and on a partially backed (ring) buffer,
+// and then leaves b and every cache untouched. The spare backings are
+// bounded by the most buffers of each size ever live at once; they
+// are freed with the Memory.
 func (m *Memory) Release(b *Buffer) {
 	cached := 0
 	for e := b.regs; e != nil; e = e.bufNext {

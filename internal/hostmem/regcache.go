@@ -14,7 +14,8 @@ import "omxsim/sim"
 // The cache holds one pin reference per resident region (taken via
 // Buffer.Pin at first acquire, released via Buffer.Unpin at
 // eviction), so cached buffers stay pinned exactly as the real
-// deferred-deregistration scheme keeps them. A registration lives
+// deferred-deregistration scheme keeps them; each transfer holds its
+// own reference besides (PinCost to UnpinCost). A registration lives
 // until its LRU eviction or until its buffer is freed
 // (Memory.Release), which drops it from every cache at no simulated
 // cost — Open-MX's invalidate-on-free — so a cache only ever holds
@@ -104,29 +105,33 @@ func (rc *RegCache) Acquire(buf *Buffer, n int) (pinPages, unpinPages int64) {
 	return pages, unpinPages
 }
 
-// PinCost registers the n-byte region of buf for a transfer, taking
-// the pin reference, and returns the time the posting CPU is charged,
-// at the caller's per-page costs (each stack pays its own pin price).
-// Through a cache (rc non-nil) a hit costs nothing and a miss pays
-// pinPerPage over the region plus unpinPerPage over any region the
-// LRU bound evicted; without one (rc nil) every post pins afresh.
+// PinCost registers the n-byte region of buf for a transfer and
+// returns the time the posting CPU is charged, at the caller's
+// per-page costs (each stack pays its own pin price). Through a cache
+// (rc non-nil) a hit costs nothing and a miss pays pinPerPage over the
+// region plus unpinPerPage over any region the LRU bound evicted;
+// without one (rc nil) every post pins afresh. Either way the transfer
+// takes a pin reference of its own, held until UnpinCost, besides the
+// one a cache entry holds: a pin beyond its registrations is what
+// tells Memory.Release that a transfer still uses the pages.
 func (rc *RegCache) PinCost(buf *Buffer, n int, pinPerPage, unpinPerPage int64) sim.Duration {
+	buf.Pin()
 	if rc != nil {
 		pinned, evicted := rc.Acquire(buf, n)
 		return sim.Duration(pinned*pinPerPage + evicted*unpinPerPage)
 	}
-	buf.Pin()
 	return sim.Duration(pagesSpanned(buf, n) * pinPerPage)
 }
 
-// UnpinCost releases the region after a transfer and returns its
-// deregistration time: zero through a cache, which defers
-// deregistration to eviction, unpinPerPage over the region otherwise.
+// UnpinCost drops the transfer's pin reference once it completed and
+// returns its deregistration time: zero through a cache, whose entry
+// keeps the region registered until eviction or free, unpinPerPage
+// over the region otherwise.
 func (rc *RegCache) UnpinCost(buf *Buffer, n int, unpinPerPage int64) sim.Duration {
+	buf.Unpin()
 	if rc != nil {
 		return 0
 	}
-	buf.Unpin()
 	return sim.Duration(pagesSpanned(buf, n) * unpinPerPage)
 }
 

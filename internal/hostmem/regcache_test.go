@@ -236,15 +236,18 @@ func TestInvalidationKeepsLRUOrder(t *testing.T) {
 }
 
 // A buffer that a transfer still pins cannot be freed even when a
-// cache holds it too: Release panics and leaves the registration in
-// place. Once the transfer unpins, Release drops it.
+// cache holds it too: a transfer posted through the cache (PinCost)
+// holds a pin of its own, so Release panics and leaves the
+// registration in place, on the posting miss and on a later hit
+// alike. Once the transfer completes (UnpinCost), Release drops it.
 func TestReleasePinnedByTransferKeepsRegistration(t *testing.T) {
 	p := platform.Clovertown()
 	m := New(p)
 	rc := NewRegCache(0)
 	b := m.Alloc(2 * 4096)
-	rc.Acquire(b, 2*4096)
-	b.Pin() // an in-flight transfer
+	rc.PinCost(b, 2*4096, 1, 1) // a transfer that misses and completes
+	rc.UnpinCost(b, 2*4096, 1)
+	rc.PinCost(b, 2*4096, 1, 1) // an in-flight transfer that hits
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -256,7 +259,9 @@ func TestReleasePinnedByTransferKeepsRegistration(t *testing.T) {
 	if st := rc.Stats(); st.Resident != 1 || st.PinnedPages != 2 || !rc.Resident(b) || b.Data == nil {
 		t.Fatalf("failed release changed state: %+v, resident %v, data %v", st, rc.Resident(b), b.Data != nil)
 	}
-	b.Unpin()
+	if d := rc.UnpinCost(b, 2*4096, 1); d != 0 {
+		t.Fatalf("cached transfer charged %v to unpin, want 0", d)
+	}
 	m.Release(b)
 	if st := rc.Stats(); st.Resident != 0 || st.PinnedPages != 0 || b.Pinned() {
 		t.Fatalf("after the transfer unpinned: %+v, pinned %v", st, b.Pinned())
